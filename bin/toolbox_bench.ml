@@ -226,6 +226,53 @@ and run_hot_paths_fs () =
     Printf.printf "  resize         %7.1f ns/block\n"
       (est /. float_of_int (2 * (cycle_blocks - 8)))
   | None -> Printf.printf "  resize (no estimate)\n");
+  run_boot_and_snapshot ()
+
+(* What a fresh machine and a snapshot cost: a default boot (four
+   full-capacity data volumes, whose per-group metadata is only allocated
+   where something is stored), and the crash explorer's per-boundary
+   [Fs.clone] + [Fs.equal] memo-key comparison on a full-size volume
+   holding one 64 MB file.  Words are allocated words per operation, from
+   the GC counters. *)
+and run_boot_and_snapshot () =
+  let open Bechamel in
+  let words_per ~n f =
+    let w0 = Gc.allocated_bytes () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.allocated_bytes () -. w0) /. float_of_int (Sys.word_size / 8) /. float_of_int n
+  in
+  let boot () =
+    Kernel.boot ~engine:(Engine.create ()) ~platform:Platform.linux_2_2 ~seed:42 ()
+  in
+  let boot_test =
+    Test.make ~name:"kernel/boot" (Staged.stage (fun () -> ignore (boot ())))
+  in
+  let fs =
+    let disk = Disk.create Platform.linux_2_2.Platform.disk in
+    let total_blocks = Disk.capacity_blocks disk in
+    let fs = Fs.create (Fs.default_config ~total_blocks) in
+    (match Fs.create_file fs "/big" with
+    | Ok ino -> ignore (Fs.resize fs ~ino ~size:(64 * 1024 * 1024))
+    | Error e -> failwith (Fs.error_to_string e));
+    fs
+  in
+  let snapshot () = Fs.equal fs (Fs.clone fs) in
+  let snapshot_test =
+    Test.make ~name:"fs/clone+equal" (Staged.stage (fun () -> ignore (snapshot ())))
+  in
+  Printf.printf "# boot and snapshot cost: default boot (%d data volumes), \
+                 Fs.clone + Fs.equal of a full-size volume with one 64 MB file\n"
+    (Kernel.data_disks (boot ()));
+  let row label test ~n f =
+    match hot_paths_benchmark test with
+    | Some est ->
+      Printf.printf "  %-14s %10.0f ns/op   %9.0f words/op\n" label est (words_per ~n f)
+    | None -> Printf.printf "  %-14s (no estimate)\n" label
+  in
+  row "boot" boot_test ~n:20 boot;
+  row "clone+equal" snapshot_test ~n:20 snapshot;
   run_adapter_overhead ()
 
 (* The Os_sim adapter's promise is that going through the OS functor costs

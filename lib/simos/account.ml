@@ -474,13 +474,11 @@ let blame_table t =
 
 (* ---- env control ------------------------------------------------------ *)
 
-let env_on =
-  lazy
-    (Gray_util.Env.parse ~var:"GRAYBOX_ACCOUNT" ~expected:"on or off"
-       ~on_invalid:`Exit ~default:true (fun token ->
-         match token with
-         | "on" | "1" -> Gray_util.Env.Value true
-         | "off" | "none" | "0" -> Value false
-         | _ -> Invalid))
-
-let of_env () = Lazy.force env_on
+let of_env =
+  Gray_util.Env.once (fun () ->
+      Gray_util.Env.parse ~var:"GRAYBOX_ACCOUNT" ~expected:"on or off"
+        ~on_invalid:`Exit ~default:true (fun token ->
+          match token with
+          | "on" | "1" -> Gray_util.Env.Value true
+          | "off" | "none" | "0" -> Value false
+          | _ -> Invalid))

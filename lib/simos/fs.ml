@@ -54,17 +54,28 @@ type inode = {
   mutable d_epoch : int;
 }
 
+(* A group's bitmaps (one byte per slot) and its slice of the
+   block-ownership map are materialised on the group's first allocation:
+   an empty bitmap means every slot is free and an empty [g_owner] means
+   every block is unowned, so an untouched group costs a few words however
+   large the volume.  All access goes through [bused]/[iused]/[owner_of]
+   and their setters. *)
 type group = {
   index : int;
   first_block : int;  (* first data block (after the inode table) *)
   data_blocks : int;
-  block_used : bool array;  (* indexed by [block - first_block] *)
+  mutable block_used : Bytes.t;  (* indexed by [block - first_block] *)
   mutable block_free : int;
   mutable rotor : int;  (* next-fit scan position (FFS rotational rotor) *)
-  inode_used : bool array;
+  mutable inode_used : Bytes.t;  (* indexed by inode slot *)
   mutable inode_free : int;
   mutable inode_hint : int;
   mutable g_epoch : int;  (* dirty mark: bitmaps/counts changed this epoch *)
+  (* maintained block-ownership map: [g_owner.(block - first_block)] is the
+     inode whose extent holds that data block, or -1.  Kept in sync at
+     attach/detach so the incremental checker verifies ownership without
+     rebuilding the map. *)
+  mutable g_owner : int array;
 }
 
 type t = {
@@ -78,10 +89,6 @@ type t = {
   mutable arena : int array;
   mutable arena_used : int;
   free_chunks : int array;  (* per size class: head chunk offset, -1 = empty *)
-  (* maintained block-ownership map: [owner.(b)] is the inode whose extent
-     holds data block [b], or -1.  Kept in sync at attach/detach so the
-     incremental checker verifies ownership without rebuilding the map. *)
-  owner : int array;
   (* dirty epochs *)
   mutable epoch : int;
   mutable gen : int;  (* bumped when [epoch] wraps; disambiguates tokens *)
@@ -92,6 +99,41 @@ type t = {
 let inode_table_blocks cfg = (cfg.inodes_per_group + inodes_per_block - 1) / inodes_per_block
 
 let group_of_ino ino ~inodes_per_group = ino / inodes_per_group
+
+(* ---- lazily materialised per-group state ---- *)
+
+let bit bm i = Bytes.length bm > 0 && Bytes.get bm i <> '\000'
+
+(* Setting a slot materialises the bitmap; clearing one in an
+   unmaterialised bitmap is a no-op (it is already free). *)
+let with_bit bm ~len i v =
+  let bm = if v && Bytes.length bm = 0 then Bytes.make len '\000' else bm in
+  if Bytes.length bm > 0 then Bytes.set bm i (if v then '\001' else '\000');
+  bm
+
+let bused g offset = bit g.block_used offset
+let set_bused g offset v = g.block_used <- with_bit g.block_used ~len:g.data_blocks offset v
+let iused g slot = bit g.inode_used slot
+
+let set_iused t g slot v =
+  g.inode_used <- with_bit g.inode_used ~len:t.cfg.inodes_per_group slot v
+
+let group_of_block t block = t.groups.(block / t.cfg.blocks_per_group)
+
+(* Owner of data block [block], or -1 (also for inode-table blocks and the
+   tail past the last whole group, which no extent may own). *)
+let owner_of t block =
+  let gi = block / t.cfg.blocks_per_group in
+  if gi >= Array.length t.groups then -1
+  else
+    let g = t.groups.(gi) in
+    let offset = block - g.first_block in
+    if offset < 0 || Array.length g.g_owner = 0 then -1 else g.g_owner.(offset)
+
+let set_owner t block ino =
+  let g = group_of_block t block in
+  if ino >= 0 && Array.length g.g_owner = 0 then g.g_owner <- Array.make g.data_blocks (-1);
+  if Array.length g.g_owner > 0 then g.g_owner.(block - g.first_block) <- ino
 
 (* ---- dirty epochs ---- *)
 
@@ -186,7 +228,7 @@ let extent_reserve t node =
 let push_block t node b =
   extent_reserve t node;
   t.arena.(node.ext_off + node.nblocks) <- b;
-  t.owner.(b) <- node.ino;
+  set_owner t b node.ino;
   node.nblocks <- node.nblocks + 1
 
 let nth_block t node i = t.arena.(node.ext_off + i)
@@ -203,13 +245,14 @@ let make_group cfg index =
     index;
     first_block = base + itb;
     data_blocks;
-    block_used = Array.make data_blocks false;
+    block_used = Bytes.empty;
     block_free = data_blocks;
     rotor = 0;
-    inode_used = Array.make cfg.inodes_per_group false;
+    inode_used = Bytes.empty;
     inode_free = cfg.inodes_per_group;
     inode_hint = 0;
     g_epoch = 0;
+    g_owner = [||];
   }
 
 let make_inode ~ino ~kind ~parent ~pname ~d_epoch =
@@ -233,7 +276,6 @@ let create cfg =
       arena = Array.make 512 0;
       arena_used = 0;
       free_chunks = Array.make n_classes (-1);
-      owner = Array.make cfg.total_blocks (-1);
       epoch = 1;
       gen = 0;
       dirty_inos = [];
@@ -241,7 +283,7 @@ let create cfg =
     }
   in
   (* Root directory occupies inode 0 of group 0. *)
-  groups.(0).inode_used.(0) <- true;
+  set_iused t groups.(0) 0 true;
   groups.(0).inode_free <- groups.(0).inode_free - 1;
   groups.(0).inode_hint <- 1;
   t.total_free_inodes <- t.total_free_inodes - 1;
@@ -266,8 +308,8 @@ let alloc_inode t ~group =
       if g.inode_free = 0 then try_group (i + 1)
       else begin
         let slot = ref g.inode_hint in
-        while g.inode_used.(!slot) do incr slot done;
-        g.inode_used.(!slot) <- true;
+        while iused g !slot do incr slot done;
+        set_iused t g !slot true;
         g.inode_free <- g.inode_free - 1;
         g.inode_hint <- !slot + 1;
         t.total_free_inodes <- t.total_free_inodes - 1;
@@ -281,17 +323,15 @@ let alloc_inode t ~group =
 let free_inode t ino =
   let g = t.groups.(ino / t.cfg.inodes_per_group) in
   let slot = ino mod t.cfg.inodes_per_group in
-  assert g.inode_used.(slot);
-  g.inode_used.(slot) <- false;
+  assert (iused g slot);
+  set_iused t g slot false;
   g.inode_free <- g.inode_free + 1;
   if slot < g.inode_hint then g.inode_hint <- slot;
   t.total_free_inodes <- t.total_free_inodes + 1;
   mark_group t g
 
-let group_of_block t block = t.groups.(block / t.cfg.blocks_per_group)
-
 let take_block t g offset =
-  g.block_used.(offset) <- true;
+  set_bused g offset true;
   g.block_free <- g.block_free - 1;
   g.rotor <- (offset + 1) mod g.data_blocks;
   t.total_free_blocks <- t.total_free_blocks - 1;
@@ -301,7 +341,7 @@ let take_block t g offset =
 let block_is_free t block =
   let g = group_of_block t block in
   let offset = block - g.first_block in
-  offset >= 0 && offset < g.data_blocks && not g.block_used.(offset)
+  offset >= 0 && offset < g.data_blocks && not (bused g offset)
 
 (* FFS-flavoured block allocation: contiguous after [near] when possible,
    else first-fit in the preferred group, else the following groups. *)
@@ -327,7 +367,7 @@ let alloc_block t ~group ~near =
              rotor are not preferred, which is what makes i-number order
              drift away from layout order as the file system ages. *)
           let offset = ref g.rotor in
-          while g.block_used.(!offset) do
+          while bused g !offset do
             offset := (!offset + 1) mod g.data_blocks
           done;
           Some (take_block t g !offset)
@@ -339,11 +379,11 @@ let alloc_block t ~group ~near =
 let free_block t block =
   let g = group_of_block t block in
   let offset = block - g.first_block in
-  assert g.block_used.(offset);
-  g.block_used.(offset) <- false;
+  assert (bused g offset);
+  set_bused g offset false;
   g.block_free <- g.block_free + 1;
   t.total_free_blocks <- t.total_free_blocks + 1;
-  t.owner.(block) <- -1;
+  set_owner t block (-1);
   mark_group t g
 
 (* ---- paths ---- *)
@@ -719,18 +759,19 @@ let clone t =
     groups =
       Array.map
         (fun g ->
-          { g with block_used = Array.copy g.block_used;
-            inode_used = Array.copy g.inode_used })
+          (* an unmaterialised group copies nothing *)
+          { g with block_used = Bytes.copy g.block_used;
+            inode_used = Bytes.copy g.inode_used;
+            g_owner = Array.copy g.g_owner })
         t.groups;
     inodes;
     arena = Array.copy t.arena;
     free_chunks = Array.copy t.free_chunks;
-    owner = Array.copy t.owner;
     (* dirty_inos / dirty_groups are immutable lists: safe to share *)
   }
 
-(* Exact structural equality of the complete volume state (the same
-   fields [clone] copies).  Used as a memoisation key: every subsequent
+(* Exact equality of the complete volume state (the same fields [clone]
+   copies), by meaning where [group] state is allocated lazily.  Used as a memoisation key: every subsequent
    check and re-run is a deterministic function of this state, so equal
    states may share one verdict — an exact comparison, not a digest, so
    there is no collision risk of reusing a verdict across genuinely
@@ -752,6 +793,21 @@ let equal a b =
            ea true
     | Regular, Dir _ | Dir _, Regular -> false
   in
+  (* by meaning: an unmaterialised bitmap or owner slice equals a
+     materialised one that is all-free / all-unowned *)
+  let same_lazy len all_default x y =
+    if len x = len y then x = y else if len x = 0 then all_default y else all_default x
+  in
+  let all_free = Bytes.for_all (Char.equal '\000') in
+  let equal_group ga gb =
+    let scalars g =
+      { g with block_used = Bytes.empty; inode_used = Bytes.empty; g_owner = [||] }
+    in
+    scalars ga = scalars gb
+    && same_lazy Bytes.length all_free ga.block_used gb.block_used
+    && same_lazy Bytes.length all_free ga.inode_used gb.inode_used
+    && same_lazy Array.length (Array.for_all (fun o -> o = -1)) ga.g_owner gb.g_owner
+  in
   let equal_inode na nb =
     na.ino = nb.ino && na.size = nb.size && na.ext_off = nb.ext_off
     && na.ext_cap = nb.ext_cap && na.nblocks = nb.nblocks && na.atime = nb.atime
@@ -767,8 +823,9 @@ let equal a b =
   && a.dirty_inos = b.dirty_inos && a.dirty_groups = b.dirty_groups
   && a.arena_used = b.arena_used
   && prefix_equal a.arena b.arena a.arena_used
-  && a.free_chunks = b.free_chunks && a.owner = b.owner
-  && a.groups = b.groups (* structural: arrays and scalars only *)
+  && a.free_chunks = b.free_chunks
+  && Array.length a.groups = Array.length b.groups
+  && Array.for_all2 equal_group a.groups b.groups
   && Hashtbl.length a.inodes = Hashtbl.length b.inodes
   && (try
         Hashtbl.iter
@@ -821,16 +878,16 @@ let check_full t =
   List.iter
     (fun ino ->
       let g = t.groups.(ino / cfg.inodes_per_group) in
-      if not g.inode_used.(ino mod cfg.inodes_per_group) then
+      if not (iused g (ino mod cfg.inodes_per_group)) then
         add "inode %d exists but its slot is free in the bitmap" ino)
     (sorted_inos t);
   let total_free_inodes = ref 0 in
   Array.iter
     (fun g ->
       let used = ref 0 in
-      Array.iteri
+      Bytes.iteri
         (fun slot u ->
-          if u then begin
+          if u <> '\000' then begin
             incr used;
             let ino = (g.index * cfg.inodes_per_group) + slot in
             if not (Hashtbl.mem t.inodes ino) then
@@ -865,7 +922,7 @@ let check_full t =
           let offset = b - g.first_block in
           if offset < 0 || offset >= g.data_blocks then
             add "inode %d: block %d lies in an inode-table region" ino b
-          else if not g.block_used.(offset) then
+          else if not (bused g offset) then
             add "inode %d: block %d is free in the bitmap" ino b
         end
       done)
@@ -874,9 +931,9 @@ let check_full t =
   Array.iter
     (fun g ->
       let used = ref 0 in
-      Array.iteri
+      Bytes.iteri
         (fun offset u ->
-          if u then begin
+          if u <> '\000' then begin
             incr used;
             let b = g.first_block + offset in
             if not (Hashtbl.mem owner b) then add "block %d allocated but unowned" b
@@ -990,7 +1047,7 @@ let check_incremental t cp =
       (fun ino ->
         if Hashtbl.mem t.inodes ino then begin
           let g = t.groups.(ino / cfg.inodes_per_group) in
-          if not g.inode_used.(ino mod cfg.inodes_per_group) then
+          if not (iused g (ino mod cfg.inodes_per_group)) then
             add "inode %d exists but its slot is free in the bitmap" ino
         end)
       dirty;
@@ -999,9 +1056,9 @@ let check_incremental t cp =
       (fun gi ->
         let g = t.groups.(gi) in
         let used = ref 0 in
-        Array.iteri
+        Bytes.iteri
           (fun slot u ->
-            if u then begin
+            if u <> '\000' then begin
               incr used;
               let ino = (g.index * cfg.inodes_per_group) + slot in
               if not (Hashtbl.mem t.inodes ino) then
@@ -1034,14 +1091,14 @@ let check_incremental t cp =
             if b < 0 || b >= cfg.total_blocks then
               add "inode %d: block %d out of range" ino b
             else begin
-              let ow = t.owner.(b) in
+              let ow = owner_of t b in
               if ow <> ino && ow >= 0 then
                 add "block %d owned by inodes %d and %d" b (min ow ino) (max ow ino);
               let g = group_of_block t b in
               let offset = b - g.first_block in
               if offset < 0 || offset >= g.data_blocks then
                 add "inode %d: block %d lies in an inode-table region" ino b
-              else if not g.block_used.(offset) then
+              else if not (bused g offset) then
                 add "inode %d: block %d is free in the bitmap" ino b
             end
           done)
@@ -1051,12 +1108,12 @@ let check_incremental t cp =
       (fun gi ->
         let g = t.groups.(gi) in
         let used = ref 0 in
-        Array.iteri
+        Bytes.iteri
           (fun offset u ->
-            if u then begin
+            if u <> '\000' then begin
               incr used;
               let b = g.first_block + offset in
-              if t.owner.(b) < 0 then add "block %d allocated but unowned" b
+              if owner_of t b < 0 then add "block %d allocated but unowned" b
             end)
           g.block_used;
         let free = g.data_blocks - !used in
@@ -1083,30 +1140,35 @@ let break_one t ~seed =
   let cfg = t.cfg in
   let candidates = ref [] in
   let offer name f = candidates := (name, f) :: !candidates in
-  let owned_blocks =
-    lazy
-      (let acc = ref [] in
-       Array.iteri (fun b ow -> if ow >= 0 then acc := b :: !acc) t.owner;
-       List.rev !acc)
+  (* every owned data block as (block, owner), in block order *)
+  let owned =
+    let acc = ref [] in
+    Array.iter
+      (fun g ->
+        Array.iteri
+          (fun offset ow -> if ow >= 0 then acc := (g.first_block + offset, ow) :: !acc)
+          g.g_owner)
+      t.groups;
+    List.rev !acc
   in
-  (match Lazy.force owned_blocks with
+  (match owned with
   | [] -> ()
   | blocks ->
     offer "clear used-block bit" (fun () ->
-        let b = List.nth blocks (abs seed mod List.length blocks) in
+        let b, ow = List.nth blocks (abs seed mod List.length blocks) in
         let g = group_of_block t b in
-        g.block_used.(b - g.first_block) <- false;
+        set_bused g (b - g.first_block) false;
         mark_group t g;
-        (match Hashtbl.find_opt t.inodes t.owner.(b) with
+        (match Hashtbl.find_opt t.inodes ow with
         | Some node -> mark_ino t node
-        | None -> mark_removed t t.owner.(b));
+        | None -> mark_removed t ow);
         Printf.sprintf "cleared bitmap bit of owned block %d" b));
   (let g = t.groups.(abs seed mod Array.length t.groups) in
    if g.block_free > 0 then
      offer "set free-block bit" (fun () ->
          let offset = ref 0 in
-         while g.block_used.(!offset) do incr offset done;
-         g.block_used.(!offset) <- true;
+         while bused g !offset do incr offset done;
+         set_bused g !offset true;
          mark_group t g;
          Printf.sprintf "leaked free block %d" (g.first_block + !offset)));
   offer "skew group free count" (fun () ->
@@ -1122,7 +1184,7 @@ let break_one t ~seed =
      let pick = List.nth inos (abs seed mod List.length inos) in
      offer "clear inode slot" (fun () ->
          let g = t.groups.(pick / cfg.inodes_per_group) in
-         g.inode_used.(pick mod cfg.inodes_per_group) <- false;
+         set_iused t g (pick mod cfg.inodes_per_group) false;
          g.inode_free <- g.inode_free + 1;
          t.total_free_inodes <- t.total_free_inodes + 1;
          mark_group t g;
@@ -1156,22 +1218,18 @@ let break_one t ~seed =
            Printf.sprintf "grew inode %d size past its block count" fino);
        offer "steal an owned block" (fun () ->
            let node = get_inode t fino in
-           let victim = ref (-1) in
-           Array.iteri
-             (fun b ow -> if !victim < 0 && ow >= 0 && ow <> fino then victim := b)
-             t.owner;
-           if !victim < 0 then "no block to steal (no-op)"
-           else begin
+           match List.find_opt (fun (_, ow) -> ow <> fino) owned with
+           | None -> "no block to steal (no-op)"
+           | Some (victim, _) ->
              let old = nth_block t node (node.nblocks - 1) in
-             t.arena.(node.ext_off + node.nblocks - 1) <- !victim;
+             t.arena.(node.ext_off + node.nblocks - 1) <- victim;
              (* the abandoned block stays allocated in its bitmap but no
                 extent references it any more *)
-             t.owner.(old) <- -1;
+             set_owner t old (-1);
              mark_ino t node;
              mark_group t (group_of_block t old);
              Printf.sprintf "inode %d now claims block %d, abandoning %d" fino
-               !victim old
-           end)));
+               victim old)));
   (let dirs =
      List.filter
        (fun i ->
@@ -1214,6 +1272,12 @@ let layout_of_file t ~ino =
 
 let free_blocks t = t.total_free_blocks
 let free_inodes t = t.total_free_inodes
+
+let materialised_groups t =
+  let pick f = List.filter_map (fun g -> if f g then Some g.index else None) in
+  let groups = Array.to_list t.groups in
+  ( pick (fun g -> Bytes.length g.block_used > 0 || Array.length g.g_owner > 0) groups,
+    pick (fun g -> Bytes.length g.inode_used > 0) groups )
 
 let fragmentation_of_file t ~ino =
   let layout = layout_of_file t ~ino in

@@ -131,11 +131,12 @@ val clone : t -> t
     run instead of replaying the workload prefix per boundary. *)
 
 val equal : t -> t -> bool
-(** Exact structural equality of the complete volume state (everything
-    {!clone} copies).  Two equal states are indistinguishable to every
-    operation in this interface, so a deterministic computation over one
-    (an fsck, a repair, a whole re-run) may reuse the verdict computed
-    over the other — the memoisation key of the snapshot-mode explorer.
+(** Exact equality of the complete volume state (everything {!clone}
+    copies), by meaning: a group whose bitmaps or owner slice were never
+    allocated equals one whose allocated arrays are all free.  Two equal
+    states are indistinguishable to every operation in this interface, so
+    a deterministic computation over one (an fsck, a repair, a whole
+    re-run) may reuse the verdict computed over the other — the memoisation key of the snapshot-mode explorer.
     Exact for images of a common lineage; conservative (may report
     unequal for observably equal states with different arena layouts)
     otherwise. *)
@@ -204,6 +205,12 @@ val layout_of_file : t -> ino:int -> int array
 
 val free_blocks : t -> int
 val free_inodes : t -> int
+
+val materialised_groups : t -> int list * int list
+(** [(block_groups, inode_groups)]: ascending indices of the groups whose
+    block bitmap or owner slice, and whose inode bitmap, have been
+    allocated.  Per-group state is materialised on the group's first
+    allocation, so an untouched group holds no storage. *)
 
 val arena_stats : t -> int * int
 (** [(slots used, slots capacity)] of the shared extent arena backing all

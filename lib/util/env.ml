@@ -8,6 +8,26 @@ type 'a outcome = Value of 'a | Soft of string * 'a | Invalid
 let message ~var ~token ~expected =
   Printf.sprintf "%s=%s: expected %s" var token expected
 
+(* Double-checked: the fast path is one atomic read; the first callers
+   serialise on the mutex so [f] runs exactly once even when several
+   domains ask at the same moment (a [lazy] raises
+   [CamlinternalLazy.Undefined] in that case).  If [f] raises, nothing is
+   cached and the next call runs it again. *)
+let once f =
+  let m = Mutex.create () in
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+      Mutex.protect m (fun () ->
+          match Atomic.get cell with
+          | Some v -> v
+          | None ->
+            let v = f () in
+            Atomic.set cell (Some v);
+            v)
+
 let normalize s = String.lowercase_ascii (String.trim s)
 
 let parse ~var ~expected ~on_invalid ~default parse_token =

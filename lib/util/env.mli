@@ -16,6 +16,13 @@ type 'a outcome =
           telemetry off rather than failing the run) *)
   | Invalid  (** token rejected: fail via [on_invalid] *)
 
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] is a domain-safe memo cell: the first call runs [f] (so a
+    warning it prints appears once per process), every later call returns
+    the same value.  Unlike a [lazy], two domains forcing it for the first
+    time together both get the value.  Use it for process-wide settings
+    read from the environment by code that may run inside pool tasks. *)
+
 val message : var:string -> token:string -> expected:string -> string
 (** ["var=token: expected <expected>"] — the uniform diagnostic. *)
 

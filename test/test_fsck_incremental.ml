@@ -46,7 +46,7 @@ let apply fs (op, a) =
   let ino_of path =
     match Fs.stat_path fs path with Ok st -> Some st.Fs.st_ino | Error _ -> None
   in
-  match abs op mod 8 with
+  match abs op mod 9 with
   | 0 -> ignore (Fs.create_file fs (name a))
   | 1 -> ignore (Fs.unlink fs (name a))
   | 2 -> (
@@ -60,12 +60,25 @@ let apply fs (op, a) =
     | None -> ())
   | 5 -> Fs.sync_all fs
   | 6 -> Fs.crash fs
-  | _ -> (
+  | 7 -> (
     (* a subdirectory and a cross-directory move: parent/pname churn *)
     ignore (Fs.mkdir fs "/dir/sub");
     match abs a mod 2 with
     | 0 -> ignore (Fs.rename fs ~src:(name a) ~dst:("/dir/sub" ^ "/g"))
     | _ -> ignore (Fs.rename fs ~src:"/dir/sub/g" ~dst:(name a)))
+  | _ -> (
+    (* empty a group again: a new directory goes to the group with the most
+       free inodes (the root's, as /dir fills the other), its file's blocks
+       follow it there, and removing both leaves that group's block state
+       materialised but all free *)
+    match Fs.mkdir fs "/e" with
+    | Error _ -> ()
+    | Ok _ ->
+      (match Fs.create_file fs "/e/x" with
+      | Ok ino -> ignore (Fs.resize fs ~ino ~size:((1 + (abs a mod 4)) * block))
+      | Error _ -> ());
+      ignore (Fs.unlink fs "/e/x");
+      ignore (Fs.unlink fs "/e"))
 
 let gen_program =
   QCheck2.Gen.(
@@ -184,6 +197,43 @@ let test_crash_rollback_differential () =
   Alcotest.(check int) "unsynced growth rolled back" (6 * block)
     (must (Fs.stat_path fs "/dir/f5")).Fs.st_size
 
+(* [Fs.equal] compares meaning, not representation.  Two twins of one
+   image run the same namespace operations, except that in [a] a one-block
+   file's data lands in group 0, whose block bitmap and owner slice were
+   never allocated, while in [b] the one block goes to group 1, which
+   already holds /dir's data.  After the files are gone and a crash resets
+   the allocator rotors, [a] holds an all-free materialised group where [b]
+   holds none, and the two must still be equal (the snapshot explorer's
+   memo key).  Both twins end in the same epoch with the same marks. *)
+let test_equal_ignores_materialisation () =
+  let a = base () in
+  ignore (must (Fs.mkdir a "/g"));
+  Fs.sync_all a;
+  let b = Fs.clone a in
+  let cp = Fs.checkpoint a in
+  ignore (Fs.checkpoint b);
+  let churn fs ~data_in =
+    let one name ~with_block =
+      let ino = must (Fs.create_file fs name) in
+      if with_block then must (Fs.resize fs ~ino ~size:block);
+      must (Fs.unlink fs name)
+    in
+    one "/g/x" ~with_block:(data_in = `G);
+    one "/dir/y" ~with_block:(data_in = `Dir);
+    Fs.crash fs
+  in
+  churn a ~data_in:`G;
+  churn b ~data_in:`Dir;
+  Alcotest.(check (pair (list int) (list int))) "a: group 0 block state allocated"
+    ([ 0; 1 ], [ 0; 1 ]) (Fs.materialised_groups a);
+  Alcotest.(check (pair (list int) (list int))) "b: group 0 block state never allocated"
+    ([ 1 ], [ 0; 1 ]) (Fs.materialised_groups b);
+  Alcotest.(check bool) "a equals b" true (Fs.equal a b);
+  Alcotest.(check bool) "b equals a" true (Fs.equal b a);
+  Alcotest.(check bool) "clone equals" true (Fs.equal a (Fs.clone a));
+  agree "emptied group" a cp;
+  Alcotest.(check (list string)) "emptied group passes the full fsck" [] (Fs.check_full a)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_differential;
@@ -192,4 +242,6 @@ let suite =
     Alcotest.test_case "epoch wraparound" `Quick test_epoch_wraparound;
     Alcotest.test_case "crash rollback differential" `Quick
       test_crash_rollback_differential;
+    Alcotest.test_case "equal ignores materialisation" `Quick
+      test_equal_ignores_materialisation;
   ]

@@ -404,6 +404,58 @@ let test_counters_track_bytes () =
   Alcotest.(check int) "bytes read" (1 * mib) c.Kernel.c_bytes_read;
   Alcotest.(check int) "bytes written" (1 * mib) c.Kernel.c_bytes_written
 
+(* ---- boot cost: volume metadata is sized by use ---- *)
+
+(* Words allocated on this domain (minor + direct major). *)
+let allocated_words () = Gc.allocated_bytes () /. float (Sys.word_size / 8)
+
+(* The default machine boots four full-capacity data volumes; with
+   per-group bitmaps and owner slices materialised on first allocation, a
+   boot no longer pays for the disks' size (it was 19.1 M words). *)
+let test_boot_allocates_little () =
+  let boot () =
+    Kernel.boot ~engine:(Engine.create ()) ~platform:Platform.linux_2_2 ~seed:11 ()
+  in
+  ignore (Sys.opaque_identity (boot ()));
+  let w0 = allocated_words () in
+  let k = Sys.opaque_identity (boot ()) in
+  let words = allocated_words () -. w0 in
+  Alcotest.(check int) "four data volumes" 4 (Kernel.data_disks k);
+  if words >= 500_000. then Alcotest.failf "one boot allocated %.0f words" words
+
+(* Writing a 64 MB file materialises metadata only in the groups its
+   blocks land in, plus the root directory's group; the other volume
+   stays untouched. *)
+let test_write_materialises_own_groups () =
+  let k, () =
+    run_proc ~faults:Fault.quiet (fun env -> make_file env "/d0/big" (64 * mib))
+  in
+  let fs = Kernel.volume_fs k 0 in
+  let cfg = Fs.config fs in
+  let ino =
+    match Fs.lookup fs "/big" with Ok ino -> ino | Error _ -> Alcotest.fail "no /big"
+  in
+  let file_groups =
+    List.sort_uniq compare
+      (Array.to_list
+         (Array.map (fun b -> b / cfg.Fs.blocks_per_group) (Fs.layout_of_file fs ~ino)))
+  in
+  let root_group =
+    Fs.group_of_ino (Fs.root_ino fs) ~inodes_per_group:cfg.Fs.inodes_per_group
+  in
+  let allowed = List.sort_uniq compare (root_group :: file_groups) in
+  let block_groups, inode_groups = Fs.materialised_groups fs in
+  Alcotest.(check int) "16384 blocks" 16384 (Fs.pages_of_file fs ~ino);
+  Alcotest.(check (list int)) "block state only where the blocks are" file_groups
+    block_groups;
+  Alcotest.(check bool) "inode bitmaps only in allowed groups" true
+    (List.for_all (fun g -> List.mem g allowed) inode_groups);
+  Alcotest.(check bool) "a few groups of many" true
+    (List.length allowed <= 4
+    && List.length allowed * 10 < cfg.Fs.total_blocks / cfg.Fs.blocks_per_group);
+  Alcotest.(check (pair (list int) (list int))) "untouched volume" ([], [ root_group ])
+    (Fs.materialised_groups (Kernel.volume_fs k 1))
+
 let suite =
   [
     Alcotest.test_case "create/write/read" `Quick test_create_write_read;
@@ -432,4 +484,7 @@ let suite =
     Alcotest.test_case "compute contends for cpus" `Quick test_compute_contends_for_cpus;
     Alcotest.test_case "gettime resolution" `Quick test_gettime_resolution;
     Alcotest.test_case "counters track bytes" `Quick test_counters_track_bytes;
+    Alcotest.test_case "boot allocates little" `Quick test_boot_allocates_little;
+    Alcotest.test_case "write materialises its own groups" `Quick
+      test_write_materialises_own_groups;
   ]

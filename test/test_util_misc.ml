@@ -164,6 +164,43 @@ let test_bar_chart () =
   let s = Table.bar_chart ~title:"B" [ ("x", 1.0); ("y", 2.0) ] in
   Alcotest.(check bool) "renders" true (String.length s > 5)
 
+(* ---- Env.once ---- *)
+
+(* Two domains meet at a spin barrier before every cell, then force the
+   same fresh cell together.  A [lazy] here raises
+   [CamlinternalLazy.Undefined] in one of them now and then; a [once] cell
+   must run its body exactly once and hand both domains the same value. *)
+let test_env_once_race () =
+  let rounds = 10_000 in
+  let calls = Array.init rounds (fun _ -> Atomic.make 0) in
+  let cells =
+    Array.init rounds (fun i ->
+        Env.once (fun () ->
+            Atomic.incr calls.(i);
+            (* widen the window between the first check and the store *)
+            for _ = 1 to 50 do Domain.cpu_relax () done;
+            i))
+  in
+  let arrived = Atomic.make 0 in
+  (* an exception is recorded, not raised, so both racers keep meeting at
+     the barrier and the test fails instead of hanging *)
+  let racer () =
+    Array.mapi
+      (fun i cell ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 * (i + 1) do Domain.cpu_relax () done;
+        match cell () with v -> v | exception _ -> -1)
+      cells
+  in
+  let other = Domain.spawn racer in
+  let mine = racer () in
+  let theirs = Domain.join other in
+  let expected = Array.init rounds Fun.id in
+  Alcotest.(check bool) "every value is its own cell's, in both domains" true
+    (mine = expected && theirs = expected);
+  Alcotest.(check bool) "every body ran exactly once" true
+    (Array.for_all (fun c -> Atomic.get c = 1) calls)
+
 let suite =
   [
     Alcotest.test_case "pqueue order" `Quick test_pqueue_order;
@@ -184,4 +221,5 @@ let suite =
     Alcotest.test_case "sample w/o replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "bar chart" `Quick test_bar_chart;
+    Alcotest.test_case "env once: two domains race" `Quick test_env_once_race;
   ]
