@@ -1,9 +1,9 @@
-(* gbp — the gray-box probe utility (Section 4.1.2), demonstrated on a
-   simulated volume.
+(* gbp — the gray-box probe utility (Section 4.1.2), on a simulated
+   volume or, with --os host, on the real operating system.
 
-   Builds a file population on the simulated OS, optionally warms some of
-   the files into the file cache, then prints the order in which an
-   unmodified application should access them:
+   Builds a file population, optionally warms some of the files into the
+   file cache, then prints the order in which an unmodified application
+   should access them:
 
      gbp --mode mem      # FCCD: cache-resident files first
      gbp --mode file     # FLDC: i-number (layout) order
@@ -13,6 +13,8 @@
    the (offset, length) extents an application on the other end of the
    pipe would receive.
 
+   Both backends run the same pipeline (Gbp.Make over Os_intf.S); only
+   boot, the scratch directory and the simulation-only planes differ.
    `--faults canonical` boots the kernel under the canonical fault
    scenario; `--extra PATH` adds paths that need not exist (exercising
    the error exit codes); `--min-confidence` makes a noisy mem-mode
@@ -24,6 +26,113 @@ open Simos
 open Graybox_core
 
 let mib = 1024 * 1024
+
+(* The pipeline both backends share: build the population under [dir],
+   warm a seeded subset, print the ordering (or, with [?adaptive] =
+   [(rounds, recal_budget)], the self-healing rounds), then stream the
+   first file for --out.  [G] is the backend's Gbp instance — the flat
+   simulated one also charges --out the pipe copy.  Returns the exit
+   code. *)
+module Pipeline (Os : Os_intf.S) (G : module type of Gbp.Make (Os)) = struct
+  module W = Gray_apps.Workload.Make (Os)
+  module A = Adaptive.Make (Os)
+
+  let run env ~dir ~label ~volume ~flush_cache ?adaptive mode files size_mib warm out
+      seed extra min_confidence =
+    let exit_code = ref 0 in
+    let made =
+      W.make_files env ~dir ~prefix:"file" ~count:files ~size:(size_mib * mib)
+    in
+    let paths = made @ extra in
+    flush_cache ();
+    let rng = Gray_util.Rng.create ~seed:(seed + 1) in
+    (* warm only files that exist: extras may be ghosts and must not eat
+       warm slots either *)
+    let warmed =
+      let arr = Array.of_list made in
+      Gray_util.Rng.shuffle rng arr;
+      Array.to_list (Array.sub arr 0 (min warm files))
+    in
+    List.iter (fun p -> W.read_file env p) warmed;
+    Printf.printf "# volume: %d files x %d MB on %s; warmed: %s\n" files size_mib volume
+      (String.concat ", " (List.map Fldc.basename (List.sort compare warmed)));
+    let config =
+      {
+        (Fccd.default_config ~seed ()) with
+        Fccd.access_unit = 4 * mib;
+        prediction_unit = 1 * mib;
+      }
+    in
+    (match adaptive with
+    | Some (rounds, recal_budget) -> (
+      (* self-healing FCCD ordering: re-order [rounds] times, two
+         virtual seconds apart, spot-checking the ranking's health
+         before each answer and re-calibrating when it went stale *)
+      let acfg = { Adaptive.default_config with Adaptive.recal_budget } in
+      match A.fccd ~config:acfg env ~fccd_config:config ~paths with
+      | Error e ->
+        Printf.eprintf "gbp: adaptive probe: %s\n" (Kernel.error_to_string e);
+        exit_code := Gbp.exit_code_of_error e
+      | Ok f ->
+        let wd = A.fccd_watchdog f in
+        let rec go round =
+          if round < rounds && !exit_code = 0 then begin
+            (match A.fccd_order env f with
+            | Ok ordered ->
+              Printf.printf "# gbp --adaptive round %d (health %.2f, %s, %d recalibrations):\n"
+                round (Adaptive.health wd)
+                (Adaptive.status_to_string (Adaptive.status wd))
+                (Adaptive.recalibrations wd);
+              List.iter print_endline ordered
+            | Error (`Kernel e) ->
+              Printf.eprintf "gbp: adaptive round %d: %s\n" round
+                (Kernel.error_to_string e);
+              exit_code := Gbp.exit_code_of_error e
+            | Error `Stale_budget_exhausted ->
+              Printf.eprintf
+                "gbp: adaptive round %d: ordering stale and re-calibration \
+                 budget exhausted\n"
+                round;
+              exit_code := Gbp.exit_stale);
+            if round + 1 < rounds && !exit_code = 0 then Os.sleep_ns 2_000_000_000;
+            go (round + 1)
+          end
+        in
+        go 0)
+    | None -> (
+      let ordered, reason = G.best_order_or_fallback env config ~min_confidence mode ~paths in
+      (* a degraded gbp keeps the pipeline alive — the caller's own
+         argument order passes through — but reports why on stderr and,
+         for kernel errors, through a distinct exit code *)
+      (match reason with
+      | None -> ()
+      | Some r ->
+        Printf.eprintf "gbp: %s; falling back to argument order\n"
+          (Gbp.fallback_reason_to_string r);
+        (match r with
+        | Gbp.Degraded_error e -> exit_code := Gbp.exit_code_of_error e
+        | Gbp.Low_confidence _ -> ()));
+      Printf.printf "# %s --mode %s ordering%s:\n" label (Gbp.mode_to_string mode)
+        (match reason with Some _ -> " (fallback: argument order)" | None -> "");
+      List.iter print_endline ordered));
+    (if out then
+       match paths with
+       | [] -> ()
+       | first :: _ -> (
+         Printf.printf "# gbp --out %s extents (best probe order):\n" first;
+         match
+           G.out env config ~path:first ~consume:(fun ~off ~len ->
+               Printf.printf "  offset=%-10d length=%d\n" off len)
+         with
+         | Ok _ -> ()
+         | Error e ->
+           Printf.eprintf "gbp: --out %s: %s\n" first (Kernel.error_to_string e);
+           exit_code := Gbp.exit_code_of_error e));
+    !exit_code
+end
+
+module Sim_pipeline = Pipeline (Os_sim) (Gbp)
+module Host_pipeline = Pipeline (Os_host) (Gbp.Make (Os_host))
 
 let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extra
     min_confidence trace metrics drift_scenario adaptive rounds recal_budget
@@ -53,101 +162,11 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
   Kernel.start_drift_daemon k;
   let exit_code = ref 0 in
   Kernel.spawn k (fun env ->
-      let made =
-        Gray_apps.Workload.make_files env ~dir:"/d0/data" ~prefix:"file" ~count:files
-          ~size:(size_mib * mib)
-      in
-      let paths = made @ extra in
-      Kernel.flush_file_cache k;
-      let rng = Gray_util.Rng.create ~seed:(seed + 1) in
-      (* warm only files that exist: extras may be ghosts and must not eat
-         warm slots either *)
-      let warmed =
-        let arr = Array.of_list made in
-        Gray_util.Rng.shuffle rng arr;
-        Array.to_list (Array.sub arr 0 (min warm files))
-      in
-      List.iter (fun p -> Gray_apps.Workload.read_file env p) warmed;
-      Printf.printf "# volume: %d files x %d MB on %s; warmed: %s\n" files size_mib
-        platform.Platform.name
-        (String.concat ", " (List.map Fldc.basename (List.sort compare warmed)));
-      let config =
-        {
-          (Fccd.default_config ~seed ()) with
-          Fccd.access_unit = 4 * mib;
-          prediction_unit = 1 * mib;
-        }
-      in
-      if adaptive then begin
-        (* self-healing FCCD ordering: re-order [rounds] times, two
-           virtual seconds apart, spot-checking the ranking's health
-           before each answer and re-calibrating when it went stale *)
-        let acfg = { Adaptive.default_config with Adaptive.recal_budget } in
-        match Adaptive.fccd ~config:acfg env ~fccd_config:config ~paths with
-        | Error e ->
-          Printf.eprintf "gbp: adaptive probe: %s\n" (Kernel.error_to_string e);
-          exit_code := Gbp.exit_code_of_error e
-        | Ok f ->
-          let wd = Adaptive.fccd_watchdog f in
-          let rec go round =
-            if round < rounds && !exit_code = 0 then begin
-              (match Adaptive.fccd_order env f with
-              | Ok ordered ->
-                Printf.printf "# gbp --adaptive round %d (health %.2f, %s, %d recalibrations):\n"
-                  round (Adaptive.health wd)
-                  (Adaptive.status_to_string (Adaptive.status wd))
-                  (Adaptive.recalibrations wd);
-                List.iter print_endline ordered
-              | Error (`Kernel e) ->
-                Printf.eprintf "gbp: adaptive round %d: %s\n" round
-                  (Kernel.error_to_string e);
-                exit_code := Gbp.exit_code_of_error e
-              | Error `Stale_budget_exhausted ->
-                Printf.eprintf
-                  "gbp: adaptive round %d: ordering stale and re-calibration \
-                   budget exhausted\n"
-                  round;
-                exit_code := Gbp.exit_stale);
-              if round + 1 < rounds && !exit_code = 0 then
-                Engine.delay 2_000_000_000;
-              go (round + 1)
-            end
-          in
-          go 0
-      end
-      else begin
-        let ordered, reason =
-          Gbp.best_order_or_fallback env config ~min_confidence mode ~paths
-        in
-        (* a degraded gbp keeps the pipeline alive — the caller's own
-           argument order passes through — but reports why on stderr and,
-           for kernel errors, through a distinct exit code *)
-        (match reason with
-        | None -> ()
-        | Some r ->
-          Printf.eprintf "gbp: %s; falling back to argument order\n"
-            (Gbp.fallback_reason_to_string r);
-          (match r with
-          | Gbp.Degraded_error e -> exit_code := Gbp.exit_code_of_error e
-          | Gbp.Low_confidence _ -> ()));
-        Printf.printf "# gbp --mode %s ordering%s:\n" (Gbp.mode_to_string mode)
-          (match reason with Some _ -> " (fallback: argument order)" | None -> "");
-        List.iter print_endline ordered
-      end;
-      if out then begin
-        match paths with
-        | [] -> ()
-        | first :: _ -> (
-          Printf.printf "# gbp --out %s extents (best probe order):\n" first;
-          match
-            Gbp.out env config ~path:first ~consume:(fun ~off ~len ->
-                Printf.printf "  offset=%-10d length=%d\n" off len)
-          with
-          | Ok _ -> ()
-          | Error e ->
-            Printf.eprintf "gbp: --out %s: %s\n" first (Kernel.error_to_string e);
-            exit_code := Gbp.exit_code_of_error e)
-      end);
+      exit_code :=
+        Sim_pipeline.run env ~dir:"/d0/data" ~label:"gbp" ~volume:platform.Platform.name
+          ~flush_cache:(fun () -> Kernel.flush_file_cache k)
+          ?adaptive:(if adaptive then Some (rounds, recal_budget) else None)
+          mode files size_mib warm out seed extra min_confidence);
   let run_machine () =
     match sink with
     | None -> Kernel.run k
@@ -210,16 +229,12 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
 
 (* ---- the host backend ------------------------------------------------- *)
 
-(* The same pipeline against the real OS through Os_host: build the file
-   population in a scratch directory under the system temp dir, warm a
-   subset for real, order by timed probes (mem) or inode numbers (file),
-   and clean everything up on the way out — whatever happened.  Compose
-   needs the simulator's cost model, so it reports host-unavailable (12)
-   rather than pretending. *)
+(* The same pipeline against the real OS through Os_host: the population
+   lives in a scratch directory under the system temp dir, warming is
+   real reads, and everything is cleaned up on the way out — whatever
+   happened.  The host cannot drop its file cache, so nothing is flushed
+   after the population is written. *)
 let run_host mode files size_mib warm out seed extra min_confidence =
-  let module W = Gray_apps.Workload.Make (Os_host) in
-  let module F = Fccd.Make (Os_host) in
-  let module L = Fldc.Make (Os_host) in
   let rec rm_rf path =
     match (try Some (Sys.is_directory path) with Sys_error _ -> None) with
     | None -> ()
@@ -241,107 +256,25 @@ let run_host mode files size_mib warm out seed extra min_confidence =
       Printf.eprintf "gbp: host backend unavailable: %s\n" (Kernel.error_to_string e);
       Gbp.exit_host_unavailable
     | Ok env ->
-      let exit_code = ref 0 in
       Fun.protect
         ~finally:(fun () ->
           Os_host.shutdown env;
           rm_rf root)
         (fun () ->
+          let volume =
+            Printf.sprintf "host (timer %d ns, confidence cap %.2f)"
+              (Os_host.timer_resolution_ns env)
+              (Os_host.timing_confidence_cap env)
+          in
           try
-            match mode with
-            | Gbp.Compose ->
-              Printf.eprintf
-                "gbp: --mode compose needs the simulator's cost model and is \
-                 not available on the host backend\n";
-              exit_code := Gbp.exit_host_unavailable
-            | Gbp.Mem | Gbp.File ->
-              let made =
-                W.make_files env ~dir:"/data" ~prefix:"file" ~count:files
-                  ~size:(size_mib * mib)
-              in
-              let paths = made @ extra in
-              let rng = Gray_util.Rng.create ~seed:(seed + 1) in
-              let warmed =
-                let arr = Array.of_list made in
-                Gray_util.Rng.shuffle rng arr;
-                Array.to_list (Array.sub arr 0 (min warm files))
-              in
-              List.iter (fun p -> W.read_file env p) warmed;
-              Printf.printf
-                "# volume: %d files x %d MB on host (timer %d ns, confidence cap %.2f); warmed: %s\n"
-                files size_mib
-                (Os_host.timer_resolution_ns env)
-                (Os_host.timing_confidence_cap env)
-                (String.concat ", " (List.map Fldc.basename (List.sort compare warmed)));
-              let config =
-                {
-                  (Fccd.default_config ~seed ()) with
-                  Fccd.access_unit = 4 * mib;
-                  prediction_unit = 1 * mib;
-                }
-              in
-              let ordered, reason =
-                match mode with
-                | Gbp.Compose -> assert false
-                | Gbp.Mem -> (
-                  match F.order_files env config ~paths with
-                  | Error e -> (paths, Some (Gbp.Degraded_error e))
-                  | Ok ranked ->
-                    let conf =
-                      (* a coarse host timer bounds how much the ranking
-                         may be believed, exactly as in probe plans *)
-                      Float.min
-                        (Os_host.timing_confidence_cap env)
-                        (Fccd.order_confidence config ranked)
-                    in
-                    if conf < min_confidence then
-                      (paths, Some (Gbp.Low_confidence conf))
-                    else (List.map (fun r -> r.Fccd.fr_path) ranked, None))
-                | Gbp.File -> (
-                  match L.order_by_inumber env ~paths with
-                  | Error e -> (paths, Some (Gbp.Degraded_error e))
-                  | Ok ordered ->
-                    (List.map (fun s -> s.Fldc.so_path) ordered, None))
-              in
-              (match reason with
-              | None -> ()
-              | Some r ->
-                Printf.eprintf "gbp: %s; falling back to argument order\n"
-                  (Gbp.fallback_reason_to_string r);
-                match r with
-                | Gbp.Degraded_error e -> exit_code := Gbp.exit_code_of_error e
-                | Gbp.Low_confidence _ -> ());
-              Printf.printf "# gbp --os host --mode %s ordering%s:\n"
-                (Gbp.mode_to_string mode)
-                (match reason with Some _ -> " (fallback: argument order)" | None -> "");
-              List.iter print_endline ordered;
-              if out then begin
-                match paths with
-                | [] -> ()
-                | first :: _ -> (
-                  match F.probe_file env config ~path:first with
-                  | Error e ->
-                    Printf.eprintf "gbp: --out %s: %s\n" first (Kernel.error_to_string e);
-                    exit_code := Gbp.exit_code_of_error e
-                  | Ok plan -> (
-                    match Os_host.open_file env first with
-                    | Error e ->
-                      Printf.eprintf "gbp: --out %s: %s\n" first
-                        (Kernel.error_to_string e);
-                      exit_code := Gbp.exit_code_of_error e
-                    | Ok fd ->
-                      Printf.printf "# gbp --out %s extents (best probe order):\n" first;
-                      F.read_plan ?policy:config.Fccd.retry env fd plan
-                        ~f:(fun ~off ~len ->
-                          Printf.printf "  offset=%-10d length=%d\n" off len);
-                      Os_host.close env fd))
-              end
+            Host_pipeline.run env ~dir:"/data" ~label:"gbp --os host" ~volume
+              ~flush_cache:ignore mode files size_mib warm out seed extra
+              min_confidence
           with Failure msg ->
             (* a workload helper hit a permanent syscall error: report it
                like any other degraded pipeline instead of dying raw *)
             Printf.eprintf "gbp: %s\n" msg;
-            exit_code := 7);
-      !exit_code)
+            7))
 
 let run os mode files size_mib warm out noise seed fault_scenario crash_at extra
     min_confidence trace metrics drift_scenario adaptive rounds recal_budget
@@ -421,9 +354,8 @@ let os_arg =
           "Backend: sim (the simulated volume) or host (the real operating \
            system through the hardened Unix backend; files live in a scratch \
            directory under the system temp dir and are removed afterwards).  \
-           Exit code 12 means the host backend is unavailable or the requested \
-           mode needs a capability it lacks.  GRAYBOX_OS is the environment \
-           equivalent.")
+           Exit code 12 means the host backend is unavailable.  GRAYBOX_OS is \
+           the environment equivalent.")
 
 let mode_arg =
   Arg.(value & opt mode_conv Gbp.Mem & info [ "mode"; "m" ] ~doc:"Ordering mode: mem, file or compose.")
@@ -540,7 +472,7 @@ let recal_budget_arg =
 
 let cmd =
   Cmd.v
-    (Cmd.info "gbp" ~doc:"Gray-box probe utility on a simulated volume")
+    (Cmd.info "gbp" ~doc:"Gray-box probe utility on a simulated volume or the real OS")
     Term.(
       const run $ os_arg $ mode_arg $ files_arg $ size_arg $ warm_arg $ out_arg $ noise_arg
       $ seed_arg $ faults_arg $ crash_at_arg $ extra_arg $ min_confidence_arg

@@ -69,20 +69,9 @@ module Make (Os : Os_intf.S) : sig
       directory signature and patches up problems" of footnote 4. *)
 end
 
-(** {1 The simulated-backend instance (the historical flat API)} *)
+(** {1 The simulated-backend instance, re-exported under the flat names} *)
 
-val order_by_inumber :
-  Simos.Kernel.env -> paths:string list -> (stat_order list, Simos.Kernel.error) result
-
-val refresh_directory :
-  Simos.Kernel.env ->
-  ?order:[ `Size_ascending | `Given of string list ] ->
-  ?crash_at:crash_point ->
-  dir:string ->
-  unit ->
-  (unit, Simos.Kernel.error) result
-
-val repair : Simos.Kernel.env -> parent:string -> (bool, Simos.Kernel.error) result
+include module type of struct include Make (Os_sim) end
 
 val journal_name : string
 (** Name of the journal file a refresh writes into the parent directory. *)

@@ -12,18 +12,6 @@ let mode_to_string = function Mem -> "mem" | File -> "file" | Compose -> "compos
 
 let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v
 
-let best_order env config mode ~paths =
-  match mode with
-  | Mem ->
-    let* ranked = Fccd.order_files env config ~paths in
-    Ok (List.map (fun r -> r.Fccd.fr_path) ranked)
-  | File ->
-    let* ordered = Fldc.order_by_inumber env ~paths in
-    Ok (List.map (fun s -> s.Fldc.so_path) ordered)
-  | Compose ->
-    let* decision = Compose.order_files env config paths in
-    Ok decision.Compose.d_order
-
 type fallback_reason =
   | Degraded_error of Kernel.error
   | Low_confidence of float
@@ -31,24 +19,6 @@ type fallback_reason =
 let fallback_reason_to_string = function
   | Degraded_error e -> Kernel.error_to_string e
   | Low_confidence c -> Printf.sprintf "low probe confidence (%.2f)" c
-
-(* A reordering hint must never make the pipeline worse than not asking:
-   on error, or when the probe timings do not support a believable
-   ordering, hand back the caller's own argument order and say why. *)
-let best_order_or_fallback env config ?(min_confidence = 0.0) mode ~paths =
-  let fallback reason = (paths, Some reason) in
-  match mode with
-  | Mem -> (
-    match Fccd.order_files env config ~paths with
-    | Error e -> fallback (Degraded_error e)
-    | Ok ranked ->
-      let conf = Fccd.order_confidence config ranked in
-      if conf < min_confidence then fallback (Low_confidence conf)
-      else (List.map (fun r -> r.Fccd.fr_path) ranked, None))
-  | File | Compose -> (
-    match best_order env config mode ~paths with
-    | Error e -> fallback (Degraded_error e)
-    | Ok order -> (order, None))
 
 (* Distinct, stable shell exit codes per kernel error (1 is reserved for
    usage errors). *)
@@ -78,26 +48,68 @@ let exit_recovery_failed = 10
 let exit_stale = 11
 
 (* Host-backend runs (gbp --os host): the real-OS backend could not be
-   brought up, or the requested pipeline needs a capability the backend
-   does not provide.  Scripts probing for host support branch on this. *)
+   brought up.  Scripts probing for host support branch on this. *)
 let exit_host_unavailable = 12
 
-(* One pipe transfer costs a kernel-to-user copy of the payload (writer
-   copies in, reader copies out — we charge the reader side once more,
-   which is the "extra copy of all data through the operating system via
-   the pipe mechanism" of Section 4.1.3). *)
-let pipe_ns_per_byte env =
-  let platform = Kernel.platform (Kernel.kernel_of_env env) in
-  2.0 *. platform.Platform.memcopy_byte_ns
+module Make (Os : Os_intf.S) = struct
+  module F = Fccd.Make (Os)
+  module L = Fldc.Make (Os)
+  module C = Compose.Make (Os)
 
+  let best_order env config mode ~paths =
+    match mode with
+    | Mem ->
+      let* ranked = F.order_files env config ~paths in
+      Ok (List.map (fun r -> r.Fccd.fr_path) ranked)
+    | File ->
+      let* ordered = L.order_by_inumber env ~paths in
+      Ok (List.map (fun s -> s.Fldc.so_path) ordered)
+    | Compose ->
+      let* decision = C.order_files env config paths in
+      Ok decision.Compose.d_order
+
+  (* A reordering hint must never make the pipeline worse than not asking:
+     on error, or when the probe timings do not support a believable
+     ordering, hand back the caller's own argument order and say why. *)
+  let best_order_or_fallback env config ?(min_confidence = 0.0) mode ~paths =
+    let fallback reason = (paths, Some reason) in
+    match mode with
+    | Mem -> (
+      match F.order_files env config ~paths with
+      | Error e -> fallback (Degraded_error e)
+      | Ok ranked ->
+        (* a coarse timer bounds how much the ranking may be believed,
+           exactly as in probe plans *)
+        let conf =
+          Float.min (Os.timing_confidence_cap env) (Fccd.order_confidence config ranked)
+        in
+        if conf < min_confidence then fallback (Low_confidence conf)
+        else (List.map (fun r -> r.Fccd.fr_path) ranked, None))
+    | File | Compose -> (
+      match best_order env config mode ~paths with
+      | Error e -> fallback (Degraded_error e)
+      | Ok order -> (order, None))
+
+  let out env config ~path ~consume =
+    let* plan = F.probe_file env config ~path in
+    let* fd = Os.open_file env path in
+    let total = ref 0 in
+    F.read_plan ?policy:config.Fccd.retry env fd plan ~f:(fun ~off ~len ->
+        consume ~off ~len;
+        total := !total + len);
+    Os.close env fd;
+    Ok !total
+end
+
+include Make (Os_sim)
+
+(* On the simulated machine the pipe itself costs a kernel-to-user copy
+   of the payload (writer copies in, reader copies out — we charge the
+   reader side once more, which is the "extra copy of all data through
+   the operating system via the pipe mechanism" of Section 4.1.3). *)
 let out env config ~path ~consume =
-  let* plan = Fccd.probe_file env config ~path in
-  let* fd = Kernel.open_file env path in
-  let per_byte = pipe_ns_per_byte env in
-  let total = ref 0 in
-  Fccd.read_plan ?policy:config.Fccd.retry env fd plan ~f:(fun ~off ~len ->
-      Kernel.compute_bytes env ~bytes:len ~ns_per_byte:per_byte;
-      consume ~off ~len;
-      total := !total + len);
-  Kernel.close env fd;
-  Ok !total
+  let platform = Kernel.platform (Kernel.kernel_of_env env) in
+  let ns_per_byte = 2.0 *. platform.Platform.memcopy_byte_ns in
+  out env config ~path ~consume:(fun ~off ~len ->
+      Kernel.compute_bytes env ~bytes:len ~ns_per_byte;
+      consume ~off ~len)

@@ -15,33 +15,11 @@ type mode =
 val mode_of_string : string -> mode option
 val mode_to_string : mode -> string
 
-val best_order :
-  Simos.Kernel.env ->
-  Fccd.config ->
-  mode ->
-  paths:string list ->
-  (string list, Simos.Kernel.error) result
-(** The file ordering a shell substitution would receive. *)
-
 type fallback_reason =
   | Degraded_error of Simos.Kernel.error  (** probing itself failed *)
   | Low_confidence of float  (** the ordering exists but is not believable *)
 
 val fallback_reason_to_string : fallback_reason -> string
-
-val best_order_or_fallback :
-  Simos.Kernel.env ->
-  Fccd.config ->
-  ?min_confidence:float ->
-  mode ->
-  paths:string list ->
-  string list * fallback_reason option
-(** Like {!best_order} but total: on a kernel error, or (in [Mem] mode)
-    when {!Fccd.order_confidence} falls below [min_confidence]
-    (default 0), the input [paths] come back unchanged together with the
-    reason — a degraded [gbp] passes the arguments through rather than
-    break the pipeline.  [None] reason means the ordering is the real
-    prediction. *)
 
 val exit_code_of_error : Simos.Kernel.error -> int
 (** Stable non-zero shell exit code for each kernel error ([Bad_path] 2,
@@ -69,21 +47,47 @@ val exit_stale : int
 
 val exit_host_unavailable : int
 (** Exit code (12) for a [gbp --os host] run: the real-OS backend could
-    not be brought up (capability probe failed) or the requested pipeline
-    is not supported on the host.  Same code as
+    not be brought up (capability probe failed).  Same code as
     [exit_code_of_error (Unsupported _)]. *)
 
-val out :
-  Simos.Kernel.env ->
-  Fccd.config ->
-  path:string ->
-  consume:(off:int -> len:int -> unit) ->
-  (int, Simos.Kernel.error) result
-(** [gbp -mem -out path]: probe the file, read it in best order, and
-    stream each extent to [consume] through a simulated pipe (the extra
-    kernel copy of all data is charged, which is why the gbp variant runs
-    slightly behind the modified application in Figure 3).  Returns total
-    bytes delivered. *)
+(** The pipeline over any {!Os_intf.S} backend. *)
+module Make (Os : Os_intf.S) : sig
+  val best_order :
+    Os.env ->
+    Fccd.config ->
+    mode ->
+    paths:string list ->
+    (string list, Simos.Kernel.error) result
+  (** The file ordering a shell substitution would receive. *)
 
-val pipe_ns_per_byte : Simos.Kernel.env -> float
-(** Cost model of the pipe copy used by {!out}. *)
+  val best_order_or_fallback :
+    Os.env ->
+    Fccd.config ->
+    ?min_confidence:float ->
+    mode ->
+    paths:string list ->
+    string list * fallback_reason option
+  (** Like {!best_order} but total: on a kernel error, or (in [Mem] mode)
+      when {!Fccd.order_confidence}, capped at the backend's
+      {!Os_intf.S.timing_confidence_cap}, falls below [min_confidence]
+      (default 0), the input [paths] come back unchanged together with
+      the reason — a degraded [gbp] passes the arguments through rather
+      than break the pipeline.  [None] reason means the ordering is the
+      real prediction. *)
+
+  val out :
+    Os.env ->
+    Fccd.config ->
+    path:string ->
+    consume:(off:int -> len:int -> unit) ->
+    (int, Simos.Kernel.error) result
+  (** [gbp -mem -out path]: probe the file, read it in best order, and
+      hand each extent to [consume].  Returns total bytes delivered.  The
+      flat (simulated) instance also charges each extent the pipe's extra
+      kernel copy, which is why the gbp variant runs slightly behind the
+      modified application in Figure 3. *)
+end
+
+(** The simulated-backend instance, re-exported under the flat names. *)
+
+include module type of struct include Make (Os_sim) end

@@ -9,7 +9,6 @@ type t = {
   shadow : Pool.t;
   path_ids : (string, int) Hashtbl.t;
   mutable next_id : int;
-  mutable accesses : int;
   trace : Trace.t option;
 }
 
@@ -20,7 +19,6 @@ let create ?trace ~assumed_policy ~assumed_capacity_pages () =
         ~policy:assumed_policy;
     path_ids = Hashtbl.create 64;
     next_id = 1;
-    accesses = 0;
     trace;
   }
 
@@ -39,7 +37,6 @@ let observe t ~path ~off ~len ~dirty =
   if len > 0 then begin
     let first = off / page and last = (off + len - 1) / page in
     for idx = first to last do
-      t.accesses <- t.accesses + 1;
       ignore (Pool.access t.shadow (key t ~path ~idx) ~dirty)
     done
   end
@@ -92,6 +89,3 @@ let order_files t ~paths =
     paths
   |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
   |> List.map fst
-
-let observed_accesses t = t.accesses
-let shadow_resident t = Pool.resident t.shadow

@@ -54,6 +54,3 @@ val predicted_fraction : t -> path:string -> pages:int -> float
 val order_files : t -> paths:(string * int) list -> string list
 (** Rank [(path, size_bytes)] by predicted cached fraction, best first —
     the interposed analogue of {!Fccd.order_files}. *)
-
-val observed_accesses : t -> int
-val shadow_resident : t -> int

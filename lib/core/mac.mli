@@ -111,26 +111,9 @@ module Make (Os : Os_intf.S) : sig
       the fresh value with its prior. *)
 end
 
-(** {1 The simulated-backend instance (the historical flat API)} *)
+(** {1 The simulated-backend instance, re-exported under the flat names} *)
 
-type allocation = Make(Os_sim).allocation
-
-val bytes : allocation -> int
-val pages : allocation -> int
-val touch_all : Simos.Kernel.env -> allocation -> unit
-val region : allocation -> Simos.Kernel.region
-val confidence : allocation -> float
-
-val gb_alloc :
-  Simos.Kernel.env ->
-  config ->
-  min:int ->
-  max:int ->
-  multiple:int ->
-  allocation option
-
-val gb_free : Simos.Kernel.env -> allocation -> unit
-val calibrate_threshold : config -> Simos.Kernel.env -> int
+include module type of struct include Make (Os_sim) end
 
 (** {1 Introspection of the last call (for experiments)} *)
 

@@ -3,8 +3,8 @@
     The paper's premise is that ICLs treat the operating system as an
     unmodifiable black box reached through a narrow syscall surface.
     This signature {e is} that surface: the ~17 syscalls the ICL stack
-    uses ([Fccd], [Mac], [Fldc], [Resilient], [Adaptive], the workload
-    drivers), with typed, total error results — no backend may ever let
+    uses ([Fccd], [Mac], [Fldc], [Resilient], [Adaptive], [Compose],
+    [Gbp], the workload drivers), with typed, total error results — no backend may ever let
     a raised [Unix.Unix_error] (or any other exception) escape a call.
 
     Two implementations exist:

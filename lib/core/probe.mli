@@ -31,16 +31,6 @@ module Make (Os : Os_intf.S) : sig
   (** Time an arbitrary action with the gray-box clock. *)
 end
 
-(** The simulated-backend instance (the historical flat API). *)
+(** The simulated-backend instance, re-exported under the flat names. *)
 
-val file_byte : Simos.Kernel.env -> Simos.Kernel.fd -> off:int -> int
-
-val file_byte_r :
-  Simos.Kernel.env ->
-  ?policy:Resilient.policy ->
-  Simos.Kernel.fd ->
-  off:int ->
-  (int, Simos.Kernel.error) result
-
-val timed_read : Simos.Kernel.env -> Simos.Kernel.fd -> off:int -> len:int -> int * int
-val timed : Simos.Kernel.env -> (unit -> 'a) -> 'a * int
+include module type of struct include Make (Os_sim) end

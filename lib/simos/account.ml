@@ -363,7 +363,6 @@ let merge_exports exports =
     exports;
   { ex_procs = sorted_assoc procs; ex_blame = sorted_assoc blame }
 
-let export_is_empty ex = ex.ex_procs = [] && ex.ex_blame = []
 let export_blame_nonempty ex = ex.ex_blame <> []
 
 let syscalls_json st =

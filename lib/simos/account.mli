@@ -117,7 +117,6 @@ type export
 
 val export : t -> export
 val merge_exports : export list -> export
-val export_is_empty : export -> bool
 val export_blame_nonempty : export -> bool
 val export_json : export -> Gray_util.Json.t
 

@@ -233,8 +233,6 @@ let push_block t node b =
 
 let nth_block t node i = t.arena.(node.ext_off + i)
 
-let arena_stats t = (t.arena_used, Array.length t.arena)
-
 (* ---- construction ---- *)
 
 let make_group cfg index =

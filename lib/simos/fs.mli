@@ -212,10 +212,6 @@ val materialised_groups : t -> int list * int list
     allocated.  Per-group state is materialised on the group's first
     allocation, so an untouched group holds no storage. *)
 
-val arena_stats : t -> int * int
-(** [(slots used, slots capacity)] of the shared extent arena backing all
-    per-file block lists. *)
-
 val fragmentation_of_file : t -> ino:int -> float
 (** Fraction of page transitions that are {e not} physically contiguous
     ([0.] = perfectly laid out). *)

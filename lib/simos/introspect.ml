@@ -30,11 +30,6 @@ let cached_fraction k ~path =
 let file_layout k ~path =
   with_file k ~path (fun ~vol:_ ~fs ~ino -> Fs.layout_of_file fs ~ino)
 
-let file_fragmentation k ~path =
-  match with_file k ~path (fun ~vol:_ ~fs ~ino -> Fs.fragmentation_of_file fs ~ino) with
-  | Error _ -> 0.0
-  | Ok f -> f
-
 let count_anon k ~pred =
   let n = ref 0 in
   (* In the unified layout the anon pool is the single shared pool, so one
@@ -49,8 +44,6 @@ let count_anon k ~pred =
 
 let resident_anon_pages k ~pid =
   count_anon k ~pred:(fun ~pid:p ~vpn:_ -> p = pid)
-
-let swapped_anon_pages k ~pid = Kernel.swapped_pages k ~pid
 
 let available_anon_pages k ~exclude_pid =
   let mem = Kernel.memory k in

@@ -17,12 +17,8 @@ val file_cached_pages : Kernel.t -> path:string -> int
 val file_layout : Kernel.t -> path:string -> (int array, Kernel.error) result
 (** Physical block addresses of the file's pages, in page order. *)
 
-val file_fragmentation : Kernel.t -> path:string -> float
-
 val resident_anon_pages : Kernel.t -> pid:int -> int
 (** Frames currently holding anonymous pages of this process. *)
-
-val swapped_anon_pages : Kernel.t -> pid:int -> int
 
 val available_anon_pages : Kernel.t -> exclude_pid:int -> int
 (** Ground truth for MAC: how many frames a process could claim without

@@ -174,7 +174,6 @@ let install_volume_image t i fs = t.k_volumes.(i).v_fs <- fs
 let engine t = t.k_engine
 let platform t = t.k_platform
 let data_disks t = Array.length t.k_volumes
-let volume_root i = Printf.sprintf "/d%d" i
 let memory t = t.k_mem
 let volume_fs t i = t.k_volumes.(i).v_fs
 let volume_disk t i = t.k_volumes.(i).v_disk
@@ -1033,8 +1032,6 @@ let vfree env region =
     Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns)
   end
 
-let region_pages region = region.r_pages
-
 let vrelease env region ~first ~count =
   if region.r_owner <> env.e_proc.p_pid then invalid_arg "Kernel.vrelease: not the owner";
   if not region.r_live then invalid_arg "Kernel.vrelease: region freed";
@@ -1359,16 +1356,6 @@ let drop_all_memory t =
   Page.Tbl.reset t.k_swapped
 
 let live_procs t = Hashtbl.length t.k_procs
-
-let swapped_pages t ~pid =
-  let n = ref 0 in
-  Page.Tbl.iter
-    (fun key () ->
-      match key with
-      | Page.Anon { pid = p; _ } when p = pid -> incr n
-      | Page.Anon _ | Page.File _ -> ())
-    t.k_swapped;
-  !n
 
 (* ---- counters ---- *)
 

@@ -89,8 +89,6 @@ val boot :
 val engine : t -> Engine.t
 val platform : t -> Platform.t
 val data_disks : t -> int
-val volume_root : int -> string
-(** ["/d<i>"]. *)
 
 val spawn : t -> ?name:string -> ?weight:int -> ?at:int -> (env -> unit) -> unit
 (** Create a process whose body runs as an engine fiber.  File descriptors
@@ -204,7 +202,6 @@ val valloc : env -> pages:int -> region
 (** Reserve address space; frames are allocated on first touch. *)
 
 val vfree : env -> region -> unit
-val region_pages : region -> int
 
 val vrelease : env -> region -> first:int -> count:int -> unit
 (** madvise(MADV_DONTNEED)-style: drop the frames and swap slots backing a
@@ -337,9 +334,6 @@ val resolve_path : t -> string -> (int * string, error) result
 
 val global_ino : t -> volume:int -> ino:int -> int
 (** The inode identity used in {!Page.key} file pages. *)
-
-val swapped_pages : t -> pid:int -> int
-(** Anonymous pages of this process currently on the swap disk. *)
 
 val live_procs : t -> int
 (** Processes whose fiber has started and not yet cleaned up — crashed

@@ -82,9 +82,6 @@ let memory_layout t =
 let with_noise t ~sigma = { t with noise_sigma = sigma }
 let with_memory_mib t mib = { t with memory_mib = mib }
 let with_file_policy t policy = { t with file_policy = policy }
-let with_faults t scenario = { t with faults = scenario }
-let with_timer_resolution t ~ns = { t with timer_resolution_ns = max 1 ns }
-let hostile t = { t with faults = Some Fault.canonical }
 
 let by_name n =
   match List.find_opt (fun p -> p.name = n) all with

@@ -48,13 +48,5 @@ val with_noise : t -> sigma:float -> t
 val with_memory_mib : t -> int -> t
 val with_file_policy : t -> Replacement.factory -> t
 
-val with_faults : t -> Fault.scenario option -> t
-
-val with_timer_resolution : t -> ns:int -> t
-
-val hostile : t -> t
-(** The platform with {!Fault.canonical} installed — the reference noisy,
-    failure-prone observation channel of the robustness benches. *)
-
 val by_name : string -> t
 (** Raises [Invalid_argument] on unknown names. *)

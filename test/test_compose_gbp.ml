@@ -115,6 +115,54 @@ let test_gbp_out_delivers_everything () =
   Alcotest.(check int) "all bytes" ((9 * mib) + 321) delivered;
   Alcotest.(check bool) "chunked" true (extents_seen >= 3)
 
+(* The sim backend with a coarse timer's cap: the same kernel, but a
+   Mem-mode ranking may be believed at most 0.5. *)
+module Capped = struct
+  include Os_sim
+
+  let timing_confidence_cap _ = 0.5
+end
+
+(* Mem-mode confidence is capped by the backend before the threshold
+   test: a clearly warm/cold population clears 0.6 on the plain sim and
+   falls back under the cap.  Quiet faults: the verdict pins a
+   confidence, which fault injection would blur. *)
+let test_gbp_confidence_cap () =
+  let order_with order =
+    let engine = Engine.create () in
+    let k =
+      Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:99 ~faults:Fault.quiet ()
+    in
+    let result = ref None in
+    Kernel.spawn k (fun env ->
+        let paths =
+          Gray_apps.Workload.make_files env ~dir:"/d0/set" ~prefix:"f" ~count:4
+            ~size:(2 * mib)
+        in
+        Kernel.flush_file_cache k;
+        Gray_apps.Workload.read_file env (List.nth paths 3);
+        result := Some (paths, order env (small_config 6) ~paths));
+    Kernel.run k;
+    Option.get !result
+  in
+  let module G = Gbp.Make (Capped) in
+  let paths, (capped, capped_reason) =
+    order_with (fun env config ~paths ->
+        G.best_order_or_fallback env config ~min_confidence:0.6 Gbp.Mem ~paths)
+  in
+  (match capped_reason with
+  | Some (Gbp.Low_confidence c) ->
+    Alcotest.(check bool) (Printf.sprintf "capped confidence %.2f <= 0.5" c) true (c <= 0.5)
+  | Some r -> Alcotest.failf "wrong reason: %s" (Gbp.fallback_reason_to_string r)
+  | None -> Alcotest.fail "capped ordering did not fall back");
+  Alcotest.(check (list string)) "capped: argument order" paths capped;
+  let _, (flat, flat_reason) =
+    order_with (fun env config ~paths ->
+        Gbp.best_order_or_fallback env config ~min_confidence:0.6 Gbp.Mem ~paths)
+  in
+  Alcotest.(check bool) "flat: probe order believed" true (flat_reason = None);
+  Alcotest.(check string) "flat: warm file first" "/d0/set/f0003" (List.hd flat)
+
 let test_gbp_mode_parsing () =
   Alcotest.(check bool) "mem" true (Gbp.mode_of_string "mem" = Some Gbp.Mem);
   Alcotest.(check bool) "-file" true (Gbp.mode_of_string "-file" = Some Gbp.File);
@@ -137,4 +185,5 @@ let suite =
     Alcotest.test_case "gbp -out delivers everything" `Quick
       test_gbp_out_delivers_everything;
     Alcotest.test_case "gbp mode parsing" `Quick test_gbp_mode_parsing;
+    Alcotest.test_case "gbp confidence capped by backend" `Quick test_gbp_confidence_cap;
   ]

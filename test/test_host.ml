@@ -12,6 +12,7 @@ module W = Gray_apps.Workload.Make (Os_host)
 module F = Fccd.Make (Os_host)
 module L = Fldc.Make (Os_host)
 module M = Mac.Make (Os_host)
+module G = Gbp.Make (Os_host)
 
 let rec rm_rf path =
   match (try Some (Sys.is_directory path) with Sys_error _ -> None) with
@@ -188,6 +189,49 @@ let test_vmstat_typed_either_way () =
       | Error (Kernel.Unsupported _) -> ()
       | Error e -> Alcotest.failf "vmstat: %s" (Kernel.error_to_string e))
 
+(* The gbp pipeline on the host, every mode: orderings are permutations
+   of the input and --out delivers each byte of the file exactly once.
+   [with_env] checks the fd table; the scratch tree must be gone after. *)
+let test_gbp_pipeline () =
+  let size = 4 * kib64 in
+  let root =
+    with_env (fun env root ->
+        let paths = W.make_files env ~dir:"/data" ~prefix:"g" ~count:4 ~size in
+        W.read_file env (List.nth paths 2);
+        let config =
+          { (Fccd.default_config ~seed:6 ()) with Fccd.access_unit = kib64;
+            prediction_unit = kib64 }
+        in
+        List.iter
+          (fun mode ->
+            let order, reason = G.best_order_or_fallback env config mode ~paths in
+            let name = Gbp.mode_to_string mode in
+            Alcotest.(check bool) (name ^ " no fallback") true (reason = None);
+            Alcotest.(check (list string)) (name ^ " permutation")
+              (List.sort compare paths) (List.sort compare order))
+          [ Gbp.Mem; Gbp.File; Gbp.Compose ];
+        let extents = ref [] in
+        let total =
+          ok
+            (G.out env config ~path:(List.hd paths) ~consume:(fun ~off ~len ->
+                 extents := (off, len) :: !extents))
+        in
+        Alcotest.(check int) "out total" size total;
+        let covered =
+          List.fold_left
+            (fun next (off, len) ->
+              Alcotest.(check int) "extents tile the file" next off;
+              off + len)
+            0 (List.sort compare !extents)
+        in
+        Alcotest.(check int) "extents cover the file" size covered;
+        Alcotest.(check (list string)) "no scratch files"
+          (List.sort compare (List.map Fldc.basename paths))
+          (List.sort compare (ok (Os_host.readdir env "/data")));
+        root)
+  in
+  Alcotest.(check bool) "scratch tree removed" false (Sys.file_exists root)
+
 let suite =
   [
     Alcotest.test_case "env basics" `Quick test_env_basics;
@@ -202,4 +246,5 @@ let suite =
     Alcotest.test_case "mac never raises" `Quick test_mac_never_raises;
     Alcotest.test_case "vmstat typed either way" `Quick
       test_vmstat_typed_either_way;
+    Alcotest.test_case "gbp pipeline, every mode" `Quick test_gbp_pipeline;
   ]
