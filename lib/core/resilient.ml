@@ -94,8 +94,5 @@ let reject samples =
     if Array.length kept = 0 then samples else kept
   end
 
-let robust_mean samples =
-  if Array.length samples = 0 then Float.nan else Stats.mean_of (reject samples)
-
 let robust_median samples =
   if Array.length samples = 0 then Float.nan else Stats.median_of (reject samples)

@@ -81,9 +81,7 @@ include module type of struct include Make (Os_sim) end
     Shared by the hardened probing paths: reject outliers (a latency
     spike must not masquerade as a disk access), then summarise. *)
 
-val robust_mean : float array -> float
-(** Mean after discarding samples beyond 2 sigma; plain mean when the
-    rejection would discard everything.  [nan] on empty input. *)
-
 val robust_median : float array -> float
-(** Median after the same rejection.  [nan] on empty input. *)
+(** Median after discarding samples beyond 2 sigma (all of them kept
+    when the rejection would discard everything).  [nan] on empty
+    input. *)

@@ -55,7 +55,7 @@ let of_env () =
   Gray_util.Env.parse ~var:"GRAYBOX_CRASH" ~expected:expected_grammar
     ~on_invalid:`Raise ~default:None parse_token
 
-type mutable_stats = { mutable m_crashes : int; mutable m_restarts : int }
+type stats = { mutable c_crashes : int; mutable c_restarts : int }
 
 type t = {
   c_scenario : scenario;
@@ -63,7 +63,7 @@ type t = {
   mutable c_syscalls : int;
   mutable c_armed : int option;  (* absolute tick count at which to fire *)
   mutable c_observer : (int -> unit) option;
-  c_stats : mutable_stats;
+  c_stats : stats;
 }
 
 let create sc =
@@ -73,7 +73,7 @@ let create sc =
     c_syscalls = 0;
     c_armed = sc.cs_crash_at;
     c_observer = None;
-    c_stats = { m_crashes = 0; m_restarts = 0 };
+    c_stats = { c_crashes = 0; c_restarts = 0 };
   }
 
 let scenario t = t.c_scenario
@@ -102,11 +102,8 @@ let tick t =
       t.c_scenario.cs_prob > 0.0
       && Gray_util.Rng.float t.c_rng 1.0 < t.c_scenario.cs_prob
   in
-  if fire then t.c_stats.m_crashes <- t.c_stats.m_crashes + 1;
+  if fire then t.c_stats.c_crashes <- t.c_stats.c_crashes + 1;
   fire
 
-let note_restart t = t.c_stats.m_restarts <- t.c_stats.m_restarts + 1
-
-type stats = { c_crashes : int; c_restarts : int }
-
-let stats t = { c_crashes = t.c_stats.m_crashes; c_restarts = t.c_stats.m_restarts }
+let note_restart t = t.c_stats.c_restarts <- t.c_stats.c_restarts + 1
+let stats t = { t.c_stats with c_crashes = t.c_stats.c_crashes }

@@ -82,6 +82,7 @@ val syscalls : t -> int
 val note_restart : t -> unit
 (** Recorded by {!Kernel.restart}. *)
 
-type stats = { c_crashes : int; c_restarts : int }
+type stats = private { mutable c_crashes : int; mutable c_restarts : int }
 
 val stats : t -> stats
+(** A copy: later boundaries and restarts do not move it. *)

@@ -161,7 +161,6 @@ type t = {
   t_scenario : scenario;
   mutable t_stopped : bool;
   mutable t_timer_factor : int;
-  mutable t_pressure : float;
   mutable t_events : int;
   mutable t_resizes : int;
   mutable t_swaps : int;
@@ -176,7 +175,6 @@ let create sc =
     t_scenario = sc;
     t_stopped = false;
     t_timer_factor = 1;
-    t_pressure = 0.0;
     t_events = 0;
     t_resizes = 0;
     t_swaps = 0;
@@ -190,8 +188,6 @@ let stop t = t.t_stopped <- true
 let stopped t = t.t_stopped
 let timer_factor t = t.t_timer_factor
 let set_timer_factor t n = t.t_timer_factor <- max 1 n
-let pressure_level t = t.t_pressure
-let set_pressure_level t f = t.t_pressure <- f
 
 let note_applied t kind =
   t.t_events <- t.t_events + 1;
@@ -205,13 +201,11 @@ let note_evictions t n = t.t_evictions <- t.t_evictions + n
 
 (* Whole-machine restart: the daemon holding the current regime died with
    the crash, so its machine-visible mutations lapse — the clock returns
-   to the platform resolution and the pressure level reads zero.  The
-   schedule, the stop flag and the applied-event counters are experiment
-   state and survive (restart-audit fix: the timer regime used to leak
-   through reboots a dead daemon could never have sustained). *)
-let note_restart t =
-  t.t_timer_factor <- 1;
-  t.t_pressure <- 0.0
+   to the platform resolution.  The schedule, the stop flag and the
+   applied-event counters are experiment state and survive (restart-audit
+   fix: the timer regime used to leak through reboots a dead daemon could
+   never have sustained). *)
+let note_restart t = t.t_timer_factor <- 1
 
 let stats t =
   {

@@ -97,8 +97,6 @@ val timer_factor : t -> int
     [Timer_scale] event fires). *)
 
 val set_timer_factor : t -> int -> unit
-val pressure_level : t -> float
-val set_pressure_level : t -> float -> unit
 
 val note_applied : t -> kind -> unit
 (** Count one applied event (the daemon calls this). *)
@@ -108,9 +106,9 @@ val note_evictions : t -> int -> unit
 
 val note_restart : t -> unit
 (** Whole-machine restart ({!Kernel.restart}): the regime held by the
-    (now dead) daemon lapses — timer factor back to 1, pressure level to
-    zero.  The schedule and the applied-event counters survive; they
-    describe the experiment, not the machine. *)
+    (now dead) daemon lapses — timer factor back to 1.  The schedule and
+    the applied-event counters survive; they describe the experiment,
+    not the machine. *)
 
 type stats = {
   d_events : int;  (** mutations applied *)

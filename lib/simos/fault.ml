@@ -114,19 +114,19 @@ let of_env () =
         | Some i when i >= 0.0 -> Value (Some (of_intensity ~intensity:i ()))
         | _ -> Invalid))
 
-type mutable_stats = {
-  mutable m_errors : int;
-  mutable m_spikes : int;
-  mutable m_burst_hits : int;
-  mutable m_evictions : int;
-  mutable m_pressure_waves : int;
+type stats = {
+  mutable f_errors : int;
+  mutable f_spikes : int;
+  mutable f_burst_hits : int;
+  mutable f_evictions : int;
+  mutable f_pressure_waves : int;
 }
 
 type t = {
   f_scenario : scenario;
   f_rng : Gray_util.Rng.t;
   mutable f_stopped : bool;
-  f_stats : mutable_stats;
+  f_stats : stats;
 }
 
 (* Reject malformed scenarios at install time, naming the offending
@@ -177,7 +177,7 @@ let create sc =
     f_rng = Gray_util.Rng.create ~seed:sc.sc_seed;
     f_stopped = false;
     f_stats =
-      { m_errors = 0; m_spikes = 0; m_burst_hits = 0; m_evictions = 0; m_pressure_waves = 0 };
+      { f_errors = 0; f_spikes = 0; f_burst_hits = 0; f_evictions = 0; f_pressure_waves = 0 };
   }
 
 let scenario t = t.f_scenario
@@ -185,29 +185,14 @@ let stop t = t.f_stopped <- true
 let stopped t = t.f_stopped
 let rng t = t.f_rng
 
-type stats = {
-  f_errors : int;
-  f_spikes : int;
-  f_burst_hits : int;
-  f_evictions : int;
-  f_pressure_waves : int;
-}
-
-let stats t =
-  {
-    f_errors = t.f_stats.m_errors;
-    f_spikes = t.f_stats.m_spikes;
-    f_burst_hits = t.f_stats.m_burst_hits;
-    f_evictions = t.f_stats.m_evictions;
-    f_pressure_waves = t.f_stats.m_pressure_waves;
-  }
+let stats t = { t.f_stats with f_errors = t.f_stats.f_errors }
 
 let inject_error t target =
   let sc = t.f_scenario in
   if sc.sc_error_prob <= 0.0 || not (List.mem target sc.sc_error_targets) then false
   else begin
     let hit = Gray_util.Rng.float t.f_rng 1.0 < sc.sc_error_prob in
-    if hit then t.f_stats.m_errors <- t.f_stats.m_errors + 1;
+    if hit then t.f_stats.f_errors <- t.f_stats.f_errors + 1;
     hit
   end
 
@@ -216,7 +201,7 @@ let extra_latency t ~now =
   let burst =
     match sc.sc_burst with
     | Some b when b.bu_extra_ns > 0 && now mod b.bu_period_ns < b.bu_duration_ns ->
-      t.f_stats.m_burst_hits <- t.f_stats.m_burst_hits + 1;
+      t.f_stats.f_burst_hits <- t.f_stats.f_burst_hits + 1;
       b.bu_extra_ns
     | _ -> 0
   in
@@ -224,7 +209,7 @@ let extra_latency t ~now =
     if sc.sc_spike_prob > 0.0 && sc.sc_spike_ns > 0
        && Gray_util.Rng.float t.f_rng 1.0 < sc.sc_spike_prob
     then begin
-      t.f_stats.m_spikes <- t.f_stats.m_spikes + 1;
+      t.f_stats.f_spikes <- t.f_stats.f_spikes + 1;
       sc.sc_spike_ns
     end
     else 0
@@ -237,5 +222,5 @@ let timer_jitter t =
   let j = t.f_scenario.sc_timer_jitter_ns in
   if j <= 0 then 0 else Gray_util.Rng.int t.f_rng (j + 1)
 
-let note_evictions t n = t.f_stats.m_evictions <- t.f_stats.m_evictions + n
-let note_pressure_wave t = t.f_stats.m_pressure_waves <- t.f_stats.m_pressure_waves + 1
+let note_evictions t n = t.f_stats.f_evictions <- t.f_stats.f_evictions + n
+let note_pressure_wave t = t.f_stats.f_pressure_waves <- t.f_stats.f_pressure_waves + 1

@@ -104,15 +104,16 @@ val stop : t -> unit
 
 val stopped : t -> bool
 
-type stats = {
-  f_errors : int;  (** transient syscall errors injected *)
-  f_spikes : int;  (** random latency spikes served *)
-  f_burst_hits : int;  (** syscalls that landed in a burst window *)
-  f_evictions : int;  (** file pages evicted by the disturber *)
-  f_pressure_waves : int;
+type stats = private {
+  mutable f_errors : int;  (** transient syscall errors injected *)
+  mutable f_spikes : int;  (** random latency spikes served *)
+  mutable f_burst_hits : int;  (** syscalls that landed in a burst window *)
+  mutable f_evictions : int;  (** file pages evicted by the disturber *)
+  mutable f_pressure_waves : int;
 }
 
 val stats : t -> stats
+(** A copy: later injections do not move it. *)
 
 (** {1 Hooks (for {!Kernel} — not for ICLs)} *)
 

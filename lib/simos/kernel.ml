@@ -40,17 +40,30 @@ type proc = {
 
 type volume = { mutable v_fs : Fs.t; v_disk : Disk.t }
 
-type mutable_counters = {
-  mutable m_reads : int;
-  mutable m_writes : int;
-  mutable m_bytes_read : int;
-  mutable m_bytes_written : int;
-  mutable m_page_ins : int;
-  mutable m_page_outs : int;
-  mutable m_zero_fills : int;
-  mutable m_file_fetches : int;
-  mutable m_file_writebacks : int;
+type counters = {
+  mutable c_reads : int;
+  mutable c_writes : int;
+  mutable c_bytes_read : int;
+  mutable c_bytes_written : int;
+  mutable c_page_ins : int;
+  mutable c_page_outs : int;
+  mutable c_zero_fills : int;
+  mutable c_file_fetches : int;
+  mutable c_file_writebacks : int;
 }
+
+let zero_counters () =
+  {
+    c_reads = 0;
+    c_writes = 0;
+    c_bytes_read = 0;
+    c_bytes_written = 0;
+    c_page_ins = 0;
+    c_page_outs = 0;
+    c_zero_fills = 0;
+    c_file_fetches = 0;
+    c_file_writebacks = 0;
+  }
 
 type t = {
   mutable k_engine : Engine.t;  (* replaced wholesale by [restart] *)
@@ -64,7 +77,7 @@ type t = {
   k_procs : (int, proc) Hashtbl.t;
   k_sched : Sched.t option;
   mutable k_next_pid : int;
-  k_ctr : mutable_counters;
+  mutable k_ctr : counters;  (* replaced wholesale by [reset_counters] *)
   k_faults : Fault.t option;
   k_crash : Crash.t option;
   k_drift : Drift.t option;
@@ -113,18 +126,7 @@ let boot ~engine ~platform ?(data_disks = 4) ?volume_blocks ?faults ?crash ?drif
     k_procs = Hashtbl.create (max 16 procs);
     k_sched = Option.map Sched.create sched;
     k_next_pid = 1;
-    k_ctr =
-      {
-        m_reads = 0;
-        m_writes = 0;
-        m_bytes_read = 0;
-        m_bytes_written = 0;
-        m_page_ins = 0;
-        m_page_outs = 0;
-        m_zero_fills = 0;
-        m_file_fetches = 0;
-        m_file_writebacks = 0;
-      };
+    k_ctr = zero_counters ();
     k_faults =
       (match faults with
       | Some scenario -> Some (Fault.create scenario)
@@ -214,6 +216,16 @@ let resolve_path t path =
 
 (* ---- processes ---- *)
 
+(* Drop the frames and swap slots behind pages [lo, hi) of [pid].  When
+   swap was never touched (the common case for a short-lived region), no
+   probe key is built per page. *)
+let drop_anon_range t ~pid ~lo ~hi =
+  ignore (Memory.invalidate_anon_range t.k_mem ~pid ~lo ~hi);
+  if Page.Tbl.length t.k_swapped > 0 then
+    for vpn = lo to hi - 1 do
+      Page.Tbl.remove t.k_swapped (Page.Anon { pid; vpn })
+    done
+
 let spawn t ?(name = "proc") ?(weight = 1) ?at body =
   let p_pid = t.k_next_pid in
   t.k_next_pid <- t.k_next_pid + 1;
@@ -237,12 +249,7 @@ let spawn t ?(name = "proc") ?(weight = 1) ?at body =
       (fun r ->
         if r.r_live then begin
           r.r_live <- false;
-          let lo = r.r_start_vpn and hi = r.r_start_vpn + r.r_pages in
-          ignore (Memory.invalidate_anon_range t.k_mem ~pid:p_pid ~lo ~hi);
-          if Page.Tbl.length t.k_swapped > 0 then
-            for vpn = lo to hi - 1 do
-              Page.Tbl.remove t.k_swapped (Page.Anon { pid = p_pid; vpn })
-            done
+          drop_anon_range t ~pid:p_pid ~lo:r.r_start_vpn ~hi:(r.r_start_vpn + r.r_pages)
         end)
       proc.p_regions;
     Hashtbl.remove t.k_procs p_pid;
@@ -279,36 +286,6 @@ let run t = Engine.run t.k_engine
 
 let crash_plane t = t.k_crash
 let durability_on t = t.k_crash <> None
-
-(* One syscall boundary.  Ticked at syscall {e entry}, so "crash at
-   boundary N" means syscalls 1..N-1 completed and syscall N never
-   started.  [Crash.Crashed] unwinds through the fiber's [Fun.protect]
-   finalisers (descriptor tables, regions, the proc entry) and surfaces
-   from [run] as [Engine.Fiber_crash]. *)
-let crash_tick env =
-  match env.e_k.k_crash with
-  | None -> ()
-  | Some c -> if Crash.tick c then raise Crash.Crashed
-
-(* Every syscall passes through here at entry: flight-record the boundary
-   (before the crash tick, so the boundary that kills the machine is the
-   last event in the black box), bump the caller's per-kind ledger cell,
-   then tick the crash plane.  All three legs are branch-plus-store —
-   nothing allocates, draws RNG, or moves the clock. *)
-let sys_entry env code =
-  let t = env.e_k in
-  (match t.k_flight with
-  | None -> ()
-  | Some fl ->
-    let boundary =
-      match t.k_crash with Some c -> Crash.syscalls c + 1 | None -> 0
-    in
-    Flight.record fl ~ts:(Engine.now t.k_engine) ~code ~pid:env.e_proc.p_pid
-      ~a:boundary ~b:0);
-  (match env.e_acct with
-  | None -> ()
-  | Some st -> Account.note_syscall st code);
-  crash_tick env
 
 (* Whole-machine restart after a crash: volatile state (page cache,
    anonymous memory, swap residency, processes) is discarded, each
@@ -380,68 +357,198 @@ let noised t ns =
   else
     max 0 (int_of_float (float_of_int ns *. Gray_util.Dist.lognormal_factor t.k_noise ~sigma))
 
+(* The fault plane's background interference (bursts and spikes) landing
+   at [now]. *)
+let interference t ~now =
+  match t.k_faults with None -> 0 | Some f -> Fault.extra_latency f ~now
+
 (* A syscall accumulates cost on a cursor so that consecutive disk requests
    within one call queue behind each other correctly. *)
 let start_call env = Engine.now env.e_k.k_engine + env.e_k.k_platform.Platform.syscall_overhead_ns
 
-let finish_call env ~t0 ~now =
-  let total = now - Engine.now env.e_k.k_engine in
-  ignore t0;
-  let extra =
-    match env.e_k.k_faults with
-    | None -> 0
-    | Some f -> Fault.extra_latency f ~now:(Engine.now env.e_k.k_engine)
-  in
-  Engine.delay (noised env.e_k total + extra)
+let finish_call env ~now =
+  let t = env.e_k in
+  let start = Engine.now t.k_engine in
+  let extra = interference t ~now:start in
+  Engine.delay (noised t (now - start) + extra)
 
-(* Transient-failure injection: the call is charged its overhead (the
-   kernel did run) but performs no work and reports [Retryable]. *)
-let target_name = function
-  | Fault.Open -> "open"
-  | Fault.Read -> "read"
-  | Fault.Write -> "write"
-  | Fault.Stat -> "stat"
-  | Fault.Create -> "create"
-  | Fault.Unlink -> "unlink"
-  | Fault.Rename -> "rename"
-  | Fault.Mkdir -> "mkdir"
-
-let target_index = function
-  | Fault.Open -> 0
-  | Fault.Read -> 1
-  | Fault.Write -> 2
-  | Fault.Stat -> 3
-  | Fault.Create -> 4
-  | Fault.Unlink -> 5
-  | Fault.Rename -> 6
-  | Fault.Mkdir -> 7
-
-let injected env target =
-  match env.e_k.k_faults with
-  | None -> false
-  | Some f ->
-    let hit = Fault.inject_error f target in
-    if hit then begin
-      Tele.event "simos.fault.inject"
-        ~attrs:(fun () -> [ ("target", Tele.String (target_name target)) ]);
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.faults <- st.Account.faults + 1);
-      match env.e_k.k_flight with
-      | None -> ()
-      | Some fl ->
-        Flight.record fl
-          ~ts:(Engine.now env.e_k.k_engine)
-          ~code:Flight.Fault ~pid:env.e_proc.p_pid ~a:(target_index target) ~b:0
-    end;
-    hit
-
-let fail_transient env =
-  Engine.delay (noised env.e_k env.e_k.k_platform.Platform.syscall_overhead_ns);
-  Error Retryable
+(* A call that does no costed work: the kernel entry alone. *)
+let charge_overhead env =
+  Engine.delay (noised env.e_k env.e_k.k_platform.Platform.syscall_overhead_ns)
 
 let copy_cost t bytes =
   int_of_float (float_of_int bytes *. t.k_platform.Platform.memcopy_byte_ns)
+
+(* ---- event spine ----
+
+   Every syscall, page, disk and plane event reaches its observers — the
+   machine-wide counters, the caller's ledger row, the flight ring,
+   telemetry and the crash tick — through the functions of this section
+   and no other.  The observers draw no RNG and move no clock, so
+   switching the ledger or the ring off leaves the simulation unchanged;
+   the crash tick and the fault check, which may draw, run at fixed
+   points of [sys_entry].  The sinks are a closed set known at compile
+   time, so they are plain function calls, not a registry. *)
+
+(* Put one event on the flight ring, in the caller's name. *)
+let record env ~ts code ~a ~b =
+  match env.e_k.k_flight with
+  | None -> ()
+  | Some fl -> Flight.record fl ~ts ~code ~pid:env.e_proc.p_pid ~a ~b
+
+(* Close the telemetry span of a syscall that started at [t0]. *)
+let span env ?attrs name ~t0 =
+  match Tele.active () with
+  | None -> ()
+  | Some s -> Tele.span_end s ?attrs name ~ts:t0 ~spid:(spid env)
+
+type tally =
+  | Hits
+  | Misses
+  | Fetches  (** file pages read from disk *)
+  | Writebacks  (** dirty file pages written to disk *)
+  | Page_ins
+  | Page_outs
+  | Zero_fills
+  | Bytes_read  (** one read call of [n] bytes *)
+  | Bytes_written  (** one write call of [n] bytes *)
+  | Cpu_ns
+  | Block_ns
+  | Faults  (** injected syscall faults absorbed *)
+
+(* [n] more of [kind]: the machine-wide counter first, where one exists,
+   then the caller's ledger cell.  Allocates nothing. *)
+let tally env kind n =
+  let c = env.e_k.k_ctr in
+  (match kind with
+  | Fetches -> c.c_file_fetches <- c.c_file_fetches + n
+  | Writebacks -> c.c_file_writebacks <- c.c_file_writebacks + n
+  | Page_ins -> c.c_page_ins <- c.c_page_ins + n
+  | Page_outs -> c.c_page_outs <- c.c_page_outs + n
+  | Zero_fills -> c.c_zero_fills <- c.c_zero_fills + n
+  | Bytes_read ->
+    c.c_reads <- c.c_reads + 1;
+    c.c_bytes_read <- c.c_bytes_read + n
+  | Bytes_written ->
+    c.c_writes <- c.c_writes + 1;
+    c.c_bytes_written <- c.c_bytes_written + n
+  | Hits | Misses | Cpu_ns | Block_ns | Faults -> ());
+  match env.e_acct with
+  | None -> ()
+  | Some st -> (
+    let open Account in
+    match kind with
+    | Hits -> st.hits <- st.hits + n
+    | Misses -> st.misses <- st.misses + n
+    | Fetches -> st.fetches <- st.fetches + n
+    | Writebacks -> st.writebacks <- st.writebacks + n
+    | Page_ins -> st.page_ins <- st.page_ins + n
+    | Page_outs -> st.page_outs <- st.page_outs + n
+    | Zero_fills -> st.zero_fills <- st.zero_fills + n
+    | Bytes_read -> st.bytes_read <- st.bytes_read + n
+    | Bytes_written -> st.bytes_written <- st.bytes_written + n
+    | Cpu_ns -> st.cpu_ns <- st.cpu_ns + n
+    | Block_ns -> st.block_ns <- st.block_ns + n
+    | Faults -> st.faults <- st.faults + n)
+
+(* The only disk access: [n] blocks from [block] on, queued behind the
+   cursor [now]; returns the cursor after the transfer.  The blocks are
+   tallied as [kind] (inode-table I/O passes [None]: it moves no data
+   page) and the service time as [Block_ns]. *)
+let disk_io env disk ~now ~block ~n kind =
+  let d = Disk.access disk ~now ~start_block:block ~nblocks:n in
+  (match kind with None -> () | Some kind -> tally env kind n);
+  tally env Block_ns d;
+  now + d
+
+(* The run batcher: consecutive blocks of one volume queue up and go to
+   disk as one transfer, so sequential fetches and writebacks stream. *)
+type run = {
+  run_kind : tally option;
+  mutable run_vol : int;
+  mutable run_start : int;
+  mutable run_len : int;
+}
+
+let new_run kind = { run_kind = kind; run_vol = -1; run_start = -1; run_len = 0 }
+
+let flush_run env r ~now =
+  if r.run_len = 0 then now
+  else begin
+    let disk = env.e_k.k_volumes.(r.run_vol).v_disk in
+    let now = disk_io env disk ~now ~block:r.run_start ~n:r.run_len r.run_kind in
+    r.run_len <- 0;
+    now
+  end
+
+let add_run env r ~now ~vol ~block =
+  if r.run_len > 0 && vol = r.run_vol && block = r.run_start + r.run_len then begin
+    r.run_len <- r.run_len + 1;
+    now
+  end
+  else begin
+    let now = flush_run env r ~now in
+    r.run_vol <- vol;
+    r.run_start <- block;
+    r.run_len <- 1;
+    now
+  end
+
+(* The syscalls the fault plane may fail transiently, with the index the
+   flight ring records for each ([fault target=N]) and the telemetry
+   name. *)
+let fault_target : Flight.code -> (Fault.target * int * string) option = function
+  | Flight.Open -> Some (Fault.Open, 0, "open")
+  | Flight.Read -> Some (Fault.Read, 1, "read")
+  | Flight.Write -> Some (Fault.Write, 2, "write")
+  | Flight.Stat -> Some (Fault.Stat, 3, "stat")
+  | Flight.Create -> Some (Fault.Create, 4, "create")
+  | Flight.Unlink -> Some (Fault.Unlink, 5, "unlink")
+  | Flight.Rename -> Some (Fault.Rename, 6, "rename")
+  | Flight.Mkdir -> Some (Fault.Mkdir, 7, "mkdir")
+  | _ -> None
+
+(* Every syscall passes through here at entry: flight-record the boundary
+   (before the crash tick, so the boundary that kills the machine is the
+   last event in the black box), bump the caller's per-kind ledger cell,
+   tick the crash plane, then let the fault plane fail the call.
+
+   The tick is at {e entry}, so "crash at boundary N" means syscalls
+   1..N-1 completed and syscall N never started.  [Crash.Crashed] unwinds
+   through the fiber's [Fun.protect] finalisers (descriptor tables,
+   regions, the proc entry) and surfaces from [run] as
+   [Engine.Fiber_crash].  [true] means an injected transient fault: the
+   caller charges the kernel entry, does no work and returns
+   [Retryable]. *)
+let sys_entry env code =
+  let t = env.e_k in
+  let boundary = match t.k_crash with Some c -> Crash.syscalls c + 1 | None -> 0 in
+  record env ~ts:(Engine.now t.k_engine) code ~a:boundary ~b:0;
+  (match env.e_acct with None -> () | Some st -> Account.note_syscall st code);
+  (match t.k_crash with
+  | Some c when Crash.tick c -> raise Crash.Crashed
+  | Some _ | None -> ());
+  match t.k_faults, fault_target code with
+  | Some f, Some (target, index, name) when Fault.inject_error f target ->
+    Tele.event "simos.fault.inject" ~attrs:(fun () -> [ ("target", Tele.String name) ]);
+    tally env Faults 1;
+    record env ~ts:(Engine.now t.k_engine) Flight.Fault ~a:index ~b:0;
+    true
+  | _ -> false
+
+let fail_transient env =
+  charge_overhead env;
+  Error Retryable
+
+(* ---- page events ---- *)
+
+let swap_slot t ~pid ~vpn = ((pid * 1_000_003) + vpn) mod Disk.capacity_blocks t.k_swap
+
+(* The disk block behind a file page; [None] for a hole or a page of a
+   deleted file. *)
+let backing_block t ~gino ~idx =
+  if gino_is_meta gino then Some idx
+  else Fs.block_of_page t.k_volumes.(vol_of_gino gino).v_fs ~ino:(local_ino_of_gino gino) ~idx
 
 (* Write back / swap out one victim of a cache fill; returns the updated
    cursor.  Deleted files have no backing block left and are dropped.
@@ -458,46 +565,19 @@ let writeback_victim env ~now key ~dirty =
   (match t.k_account, env.e_acct with
   | Some a, Some st -> Account.note_eviction a ~evictor:st ~victim_pid
   | _ -> ());
-  (match t.k_flight with
-  | None -> ()
-  | Some fl ->
-    Flight.record fl ~ts:now ~code:Flight.Evict ~pid:env.e_proc.p_pid
-      ~a:victim_pid
-      ~b:(if dirty then 1 else 0));
+  record env ~ts:now Flight.Evict ~a:victim_pid ~b:(if dirty then 1 else 0);
   match key with
-  | Page.File { ino = gino; idx } ->
-    if dirty then begin
-      let vol = vol_of_gino gino in
-      let v = t.k_volumes.(vol) in
-      let block =
-        if gino_is_meta gino then Some idx
-        else Fs.block_of_page v.v_fs ~ino:(local_ino_of_gino gino) ~idx
-      in
-      match block with
-      | None -> now
-      | Some b ->
-        t.k_ctr.m_file_writebacks <- t.k_ctr.m_file_writebacks + 1;
-        let d = Disk.access v.v_disk ~now ~start_block:b ~nblocks:1 in
-        (match env.e_acct with
-        | None -> ()
-        | Some st ->
-          st.Account.writebacks <- st.Account.writebacks + 1;
-          st.Account.block_ns <- st.Account.block_ns + d);
-        now + d
-    end
-    else now
+  | Page.File { ino = gino; idx } when dirty -> (
+    match backing_block t ~gino ~idx with
+    | None -> now
+    | Some block ->
+      disk_io env t.k_volumes.(vol_of_gino gino).v_disk ~now ~block ~n:1 (Some Writebacks))
+  | Page.File _ -> now
   | Page.Anon { pid; vpn } ->
     (* Anonymous pages are dirty by construction (touches write). *)
-    let slot = ((pid * 1_000_003) + vpn) mod Disk.capacity_blocks t.k_swap in
-    let d = Disk.access t.k_swap ~now ~start_block:slot ~nblocks:1 in
-    t.k_ctr.m_page_outs <- t.k_ctr.m_page_outs + 1;
-    (match env.e_acct with
-    | None -> ()
-    | Some st ->
-      st.Account.page_outs <- st.Account.page_outs + 1;
-      st.Account.block_ns <- st.Account.block_ns + d);
+    let now = disk_io env t.k_swap ~now ~block:(swap_slot t ~pid ~vpn) ~n:1 (Some Page_outs) in
     Page.Tbl.replace t.k_swapped key ();
-    now + d
+    now
 
 (* One page's worth of eviction telemetry (a metric bump and a point, as
    the per-page path has always emitted). *)
@@ -510,16 +590,6 @@ let note_evictions env ~n =
       Tele.point s "simos.kernel.evict" ~spid:(spid env)
         ~attrs:(fun () -> [ ("pages", Tele.Int n) ])
 
-let acct_hit env =
-  match env.e_acct with
-  | None -> ()
-  | Some st -> st.Account.hits <- st.Account.hits + 1
-
-let acct_miss env =
-  match env.e_acct with
-  | None -> ()
-  | Some st -> st.Account.misses <- st.Account.misses + 1
-
 let handle_evictions env ~now evicted =
   let cur = ref now in
   List.iter
@@ -530,15 +600,15 @@ let handle_evictions env ~now evicted =
   !cur
 
 (* Fetch one file-metadata or data page into the cache.  The hit/miss
-   bumps mirror the pool counters the [Memory.access] touches, keeping
+   tallies mirror the pool counters the [Memory.access] touches, keeping
    per-pid sums equal to the global pool totals. *)
 let fill_page env ~now key =
   match Memory.access env.e_k.k_mem key ~dirty:false with
   | `Hit ->
-    acct_hit env;
+    tally env Hits 1;
     now
   | `Filled evicted ->
-    acct_miss env;
+    tally env Misses 1;
     handle_evictions env ~now evicted
 
 (* Charge the read of an inode-table block (open/stat/unlink/utimes). *)
@@ -549,16 +619,10 @@ let inode_read env ~now ~vol ~ino =
   let key = Page.File { ino = meta_ino vol; idx = block } in
   if Memory.contains t.k_mem key then begin
     ignore (Memory.access t.k_mem key ~dirty:false);
-    acct_hit env;
+    tally env Hits 1;
     now
   end
-  else begin
-    let d = Disk.access v.v_disk ~now ~start_block:block ~nblocks:1 in
-    (match env.e_acct with
-    | None -> ()
-    | Some st -> st.Account.block_ns <- st.Account.block_ns + d);
-    fill_page env ~now:(now + d) key
-  end
+  else fill_page env ~now:(disk_io env v.v_disk ~now ~block ~n:1 None) key
 
 (* ---- path syscalls ---- *)
 
@@ -572,14 +636,9 @@ let lift_fs = function Ok v -> Ok v | Error e -> Error (Fs_error e)
 let simple_path_call env ~name path f =
   with_volume env path (fun vol rest ->
       let t0 = Engine.now env.e_k.k_engine in
-      let now = start_call env in
-      let result, now = f vol rest now in
-      finish_call env ~t0 ~now;
-      (match Tele.active () with
-      | None -> ()
-      | Some s ->
-        Tele.span_end s name ~ts:t0 ~spid:(spid env)
-          ~attrs:(fun () -> [ ("path", Tele.String path) ]));
+      let result, now = f vol rest (start_call env) in
+      finish_call env ~now;
+      span env name ~t0 ~attrs:(fun () -> [ ("path", Tele.String path) ]);
       result)
 
 let alloc_fd env ~vol ~ino =
@@ -590,8 +649,7 @@ let alloc_fd env ~vol ~ino =
   fd
 
 let open_file env path =
-  sys_entry env Flight.Open;
-  if injected env Fault.Open then fail_transient env
+  if sys_entry env Flight.Open then fail_transient env
   else
   simple_path_call env ~name:"simos.kernel.open" path (fun vol rest now ->
       let fs = env.e_k.k_volumes.(vol).v_fs in
@@ -602,8 +660,7 @@ let open_file env path =
         (Ok (alloc_fd env ~vol ~ino), now))
 
 let create_file env path =
-  sys_entry env Flight.Create;
-  if injected env Fault.Create then fail_transient env
+  if sys_entry env Flight.Create then fail_transient env
   else
   simple_path_call env ~name:"simos.kernel.create" path (fun vol rest now ->
       let fs = env.e_k.k_volumes.(vol).v_fs in
@@ -612,7 +669,7 @@ let create_file env path =
       | Ok ino -> (Ok (alloc_fd env ~vol ~ino), now))
 
 let close env fd =
-  sys_entry env Flight.Close;
+  ignore (sys_entry env Flight.Close);
   Hashtbl.remove env.e_proc.p_fds fd
 
 let find_fd env fd =
@@ -627,8 +684,10 @@ let file_size env fd =
 
 let page_size env = env.e_k.k_platform.Platform.page_size
 
-(* Shared page-walking read/write core.  Batches consecutive missing disk
-   blocks into single transfers so sequential scans stream. *)
+(* Shared page-walking read/write core.  One policy lookup classifies
+   each page, and the callbacks replay the per-page path's actions in the
+   same order: the run batcher turns consecutive missing blocks into
+   single disk transfers, and victims write back between them. *)
 let io_pages env ~vol ~ino ~off ~len ~write =
   let t = env.e_k in
   let v = t.k_volumes.(vol) in
@@ -637,72 +696,37 @@ let io_pages env ~vol ~ino ~off ~len ~write =
   let t0 = Engine.now t.k_engine in
   let now = ref (start_call env) in
   let first_page = off / psz and last_page = (off + len - 1) / psz in
-  let pending_start = ref (-1) and pending_count = ref 0 in
-  let acct = env.e_acct in
-  let flush_pending () =
-    if !pending_count > 0 then begin
-      let d =
-        Disk.access v.v_disk ~now:!now ~start_block:!pending_start
-          ~nblocks:!pending_count
-      in
-      now := !now + d;
-      t.k_ctr.m_file_fetches <- t.k_ctr.m_file_fetches + !pending_count;
-      (match acct with
-      | None -> ()
-      | Some st ->
-        st.Account.fetches <- st.Account.fetches + !pending_count;
-        st.Account.block_ns <- st.Account.block_ns + d);
-      pending_start := -1;
-      pending_count := 0
-    end
-  in
-  let tele = Tele.active () in
-  (* Batched fast path: one policy lookup classifies each page, and the
-     callbacks replay the per-page path's actions in the same order — the
-     pending-run accumulator still batches consecutive missing blocks into
-     single disk transfers, and victims write back between them. *)
+  let fetches = new_run (Some Fetches) in
   Memory.access_run t.k_mem
     ~n:(last_page - first_page + 1)
     ~key:(fun i -> Page.File { ino = gino; idx = first_page + i })
     ~dirty:write
     ~on_hit:(fun _ _ ->
-      acct_hit env;
-      flush_pending ())
+      tally env Hits 1;
+      now := flush_run env fetches ~now:!now)
     ~on_miss:(fun i _ ->
-      acct_miss env;
+      tally env Misses 1;
       (* Reads must fetch the page; writes of whole pages just allocate a
          cache page (read-modify-write of partial pages is not modelled). *)
       if not write then
         match Fs.block_of_page v.v_fs ~ino ~idx:(first_page + i) with
         | None -> () (* hole: zero-fill, copy cost only *)
-        | Some b ->
-          if !pending_count > 0 && b = !pending_start + !pending_count then
-            incr pending_count
-          else begin
-            flush_pending ();
-            pending_start := b;
-            pending_count := 1
-          end)
+        | Some block -> now := add_run env fetches ~now:!now ~vol ~block)
     ~on_evict:(fun k ~dirty -> now := writeback_victim env ~now:!now k ~dirty)
     ~on_page_end:(fun i ~evicted ->
       note_evictions env ~n:evicted;
       let p = first_page + i in
       let page_lo = p * psz in
       now := !now + copy_cost t (min (off + len) (page_lo + psz) - max off page_lo));
-  flush_pending ();
-  finish_call env ~t0 ~now:!now;
-  match tele with
-  | None -> ()
-  | Some s ->
-    Tele.span_end s
-      (if write then "simos.kernel.write" else "simos.kernel.read")
-      ~ts:t0 ~spid:(spid env)
-      ~attrs:(fun () -> [ ("off", Tele.Int off); ("len", Tele.Int len) ])
+  finish_call env ~now:(flush_run env fetches ~now:!now);
+  span env
+    (if write then "simos.kernel.write" else "simos.kernel.read")
+    ~t0
+    ~attrs:(fun () -> [ ("off", Tele.Int off); ("len", Tele.Int len) ])
 
 let read env fd ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Kernel.read: negative offset or length";
-  sys_entry env Flight.Read;
-  if injected env Fault.Read then fail_transient env
+  if sys_entry env Flight.Read then fail_transient env
   else
   match find_fd env fd with
   | Error e -> Error e
@@ -712,24 +736,19 @@ let read env fd ~off ~len =
     let size = Fs.size_ino fs ~ino:of_ino in
     let len = max 0 (min len (size - off)) in
     if len = 0 then begin
-      Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns);
+      charge_overhead env;
       Ok 0
     end
     else begin
       io_pages env ~vol:of_vol ~ino:of_ino ~off ~len ~write:false;
       Fs.mark_atime fs ~ino:of_ino ~now:(Engine.now t.k_engine);
-      t.k_ctr.m_reads <- t.k_ctr.m_reads + 1;
-      t.k_ctr.m_bytes_read <- t.k_ctr.m_bytes_read + len;
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.bytes_read <- st.Account.bytes_read + len);
+      tally env Bytes_read len;
       Ok len
     end
 
 let write env fd ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Kernel.write: negative offset or length";
-  sys_entry env Flight.Write;
-  if injected env Fault.Write then fail_transient env
+  if sys_entry env Flight.Write then fail_transient env
   else
   match find_fd env fd with
   | Error e -> Error e
@@ -745,25 +764,19 @@ let write env fd ~off ~len =
     | Error e -> Error e
     | Ok () ->
       if len > 0 then io_pages env ~vol:of_vol ~ino:of_ino ~off ~len ~write:true
-      else Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns);
+      else charge_overhead env;
       Fs.mark_mtime fs ~ino:of_ino ~now:(Engine.now t.k_engine);
-      t.k_ctr.m_writes <- t.k_ctr.m_writes + 1;
-      t.k_ctr.m_bytes_written <- t.k_ctr.m_bytes_written + len;
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.bytes_written <- st.Account.bytes_written + len);
+      tally env Bytes_written len;
       Ok len)
 
 let mkdir env path =
-  sys_entry env Flight.Mkdir;
-  if injected env Fault.Mkdir then fail_transient env
+  if sys_entry env Flight.Mkdir then fail_transient env
   else
   simple_path_call env ~name:"simos.kernel.mkdir" path (fun vol rest now ->
       (lift_fs (Result.map ignore (Fs.mkdir env.e_k.k_volumes.(vol).v_fs rest)), now))
 
 let unlink env path =
-  sys_entry env Flight.Unlink;
-  if injected env Fault.Unlink then fail_transient env
+  if sys_entry env Flight.Unlink then fail_transient env
   else
   simple_path_call env ~name:"simos.kernel.unlink" path (fun vol rest now ->
       let t = env.e_k in
@@ -784,8 +797,7 @@ let unlink env path =
           (Ok (), now)))
 
 let rename env ~src ~dst =
-  sys_entry env Flight.Rename;
-  if injected env Fault.Rename then fail_transient env
+  if sys_entry env Flight.Rename then fail_transient env
   else
   match resolve_path env.e_k src, resolve_path env.e_k dst with
   | Error e, _ | _, Error e -> Error e
@@ -793,20 +805,15 @@ let rename env ~src ~dst =
     if v1 <> v2 then Error Bad_path
     else
       simple_path_call env ~name:"simos.kernel.rename" src (fun _ _ now ->
-          ignore r1;
           (lift_fs (Fs.rename env.e_k.k_volumes.(v1).v_fs ~src:r1 ~dst:r2), now))
 
 let readdir env path =
-  sys_entry env Flight.Readdir;
+  ignore (sys_entry env Flight.Readdir);
   simple_path_call env ~name:"simos.kernel.readdir" path (fun vol rest now ->
-      let fs = env.e_k.k_volumes.(vol).v_fs in
-      match Fs.readdir fs rest with
-      | Error e -> (Error (Fs_error e), now)
-      | Ok names -> (Ok names, now))
+      (lift_fs (Fs.readdir env.e_k.k_volumes.(vol).v_fs rest), now))
 
 let stat env path =
-  sys_entry env Flight.Stat;
-  if injected env Fault.Stat then fail_transient env
+  if sys_entry env Flight.Stat then fail_transient env
   else
   simple_path_call env ~name:"simos.kernel.stat" path (fun vol rest now ->
       let fs = env.e_k.k_volumes.(vol).v_fs in
@@ -817,7 +824,7 @@ let stat env path =
         (Ok st, now))
 
 let utimes env path ~atime ~mtime =
-  sys_entry env Flight.Utimes;
+  ignore (sys_entry env Flight.Utimes);
   simple_path_call env ~name:"simos.kernel.utimes" path (fun vol rest now ->
       let fs = env.e_k.k_volumes.(vol).v_fs in
       match Fs.lookup fs rest with
@@ -832,11 +839,12 @@ let utimes env path ~atime ~mtime =
    to maintain: fsync and sync are free no-ops (no delay, no RNG draw, no
    cache traffic), keeping benign runs byte-identical to a build without
    this plane.  With a plane, they walk the page cache and write dirty
-   pages back in place, batching physically contiguous blocks exactly as
-   the read path batches fetches. *)
+   pages back in place through the read path's run batcher.  The
+   writebacks are the {e syncing} caller's cost — the call runs inline in
+   its syscall — not whichever process dirtied the pages. *)
 
 let fsync env fd =
-  sys_entry env Flight.Fsync;
+  ignore (sys_entry env Flight.Fsync);
   match find_fd env fd with
   | Error e -> Error e
   | Ok { of_vol; of_ino } ->
@@ -848,66 +856,29 @@ let fsync env fd =
       let pool = Memory.file_pool t.k_mem in
       let t0 = Engine.now t.k_engine in
       let now = ref (start_call env) in
-      let pending_start = ref (-1) and pending_count = ref 0 in
-      (* Writeback attribution goes to the {e syncing} process — fsync
-         runs inline in the caller's syscall, so [env] is the initiator,
-         not whichever process dirtied the pages. *)
-      let flush_pending () =
-        if !pending_count > 0 then begin
-          let d =
-            Disk.access v.v_disk ~now:!now ~start_block:!pending_start
-              ~nblocks:!pending_count
-          in
-          now := !now + d;
-          t.k_ctr.m_file_writebacks <- t.k_ctr.m_file_writebacks + !pending_count;
-          (match env.e_acct with
-          | None -> ()
-          | Some st ->
-            st.Account.writebacks <- st.Account.writebacks + !pending_count;
-            st.Account.block_ns <- st.Account.block_ns + d);
-          pending_start := -1;
-          pending_count := 0
-        end
-      in
+      let writes = new_run (Some Writebacks) in
       for idx = 0 to Fs.pages_of_file v.v_fs ~ino:of_ino - 1 do
         let key = Page.File { ino = gino; idx } in
         if Pool.is_dirty pool key then begin
           (match Fs.block_of_page v.v_fs ~ino:of_ino ~idx with
           | None -> ()
-          | Some b ->
-            if !pending_count > 0 && b = !pending_start + !pending_count then
-              incr pending_count
-            else begin
-              flush_pending ();
-              pending_start := b;
-              pending_count := 1
-            end);
+          | Some block -> now := add_run env writes ~now:!now ~vol:of_vol ~block);
           Pool.clean pool key
         end
       done;
-      flush_pending ();
       (* the inode itself (size, times, blob) goes out last *)
-      let d =
-        Disk.access v.v_disk ~now:!now
-          ~start_block:(Fs.inode_block v.v_fs ~ino:of_ino)
-          ~nblocks:1
+      let now =
+        disk_io env v.v_disk ~now:(flush_run env writes ~now:!now)
+          ~block:(Fs.inode_block v.v_fs ~ino:of_ino) ~n:1 None
       in
-      now := !now + d;
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.block_ns <- st.Account.block_ns + d);
       (match Fs.fsync_ino v.v_fs ~ino:of_ino with Ok () -> () | Error _ -> ());
-      finish_call env ~t0 ~now:!now;
-      (match Tele.active () with
-      | None -> ()
-      | Some s ->
-        Tele.span_end s "simos.kernel.fsync" ~ts:t0 ~spid:(spid env)
-          ~attrs:(fun () -> [ ("ino", Tele.Int of_ino) ]));
+      finish_call env ~now;
+      span env "simos.kernel.fsync" ~t0 ~attrs:(fun () -> [ ("ino", Tele.Int of_ino) ]);
       Ok ()
     end
 
 let sync env =
-  sys_entry env Flight.Sync;
+  ignore (sys_entry env Flight.Sync);
   let t = env.e_k in
   match t.k_crash with
   | None -> ()
@@ -920,59 +891,27 @@ let sync env =
     let dirty = ref [] in
     Pool.iter pool (fun key ->
         match key with
-        | Page.File { ino = gino; idx } when Pool.is_dirty pool key ->
-          let vol = vol_of_gino gino in
-          let block =
-            if gino_is_meta gino then Some idx
-            else Fs.block_of_page t.k_volumes.(vol).v_fs ~ino:(local_ino_of_gino gino) ~idx
-          in
-          (match block with None -> () | Some b -> dirty := (vol, b, key) :: !dirty)
+        | Page.File { ino = gino; idx } when Pool.is_dirty pool key -> (
+          match backing_block t ~gino ~idx with
+          | None -> ()
+          | Some b -> dirty := (vol_of_gino gino, b, key) :: !dirty)
         | Page.File _ | Page.Anon _ -> ());
-    let pending_vol = ref (-1) and pending_start = ref (-1) and pending_count = ref 0 in
-    (* Elevator writebacks are the syncing caller's cost, like fsync's:
-       the page owner is not consulted and not blamed. *)
-    let flush_pending () =
-      if !pending_count > 0 then begin
-        let v = t.k_volumes.(!pending_vol) in
-        let d =
-          Disk.access v.v_disk ~now:!now ~start_block:!pending_start
-            ~nblocks:!pending_count
-        in
-        now := !now + d;
-        t.k_ctr.m_file_writebacks <- t.k_ctr.m_file_writebacks + !pending_count;
-        (match env.e_acct with
-        | None -> ()
-        | Some st ->
-          st.Account.writebacks <- st.Account.writebacks + !pending_count;
-          st.Account.block_ns <- st.Account.block_ns + d);
-        pending_count := 0
-      end
-    in
+    let writes = new_run (Some Writebacks) in
     List.iter
-      (fun (vol, b, key) ->
-        if !pending_count > 0 && vol = !pending_vol
-           && b = !pending_start + !pending_count
-        then incr pending_count
-        else begin
-          flush_pending ();
-          pending_vol := vol;
-          pending_start := b;
-          pending_count := 1
-        end;
+      (fun (vol, block, key) ->
+        now := add_run env writes ~now:!now ~vol ~block;
         Pool.clean pool key)
       (List.sort compare !dirty);
-    flush_pending ();
+    now := flush_run env writes ~now:!now;
     Array.iter (fun v -> Fs.sync_all v.v_fs) t.k_volumes;
-    finish_call env ~t0 ~now:!now;
-    (match Tele.active () with
-    | None -> ()
-    | Some s -> Tele.span_end s "simos.kernel.sync" ~ts:t0 ~spid:(spid env))
+    finish_call env ~now:!now;
+    span env "simos.kernel.sync" ~t0
 
 (* Side-band whole-file content (the FLDC journal records): replaces the
    file's blob without touching its block layout.  Volatile until fsynced,
    like any other write. *)
 let write_blob env fd s =
-  sys_entry env Flight.Write_blob;
+  ignore (sys_entry env Flight.Write_blob);
   match find_fd env fd with
   | Error e -> Error e
   | Ok { of_vol; of_ino } ->
@@ -988,7 +927,7 @@ let write_blob env fd s =
       Ok ())
 
 let read_blob env fd =
-  sys_entry env Flight.Read_blob;
+  ignore (sys_entry env Flight.Read_blob);
   match find_fd env fd with
   | Error e -> Error e
   | Ok { of_vol; of_ino } ->
@@ -1005,31 +944,24 @@ let read_blob env fd =
 
 let valloc env ~pages =
   if pages <= 0 then invalid_arg "Kernel.valloc: pages must be positive";
-  sys_entry env Flight.Valloc;
+  ignore (sys_entry env Flight.Valloc);
   let proc = env.e_proc in
   let region =
     { r_owner = proc.p_pid; r_start_vpn = proc.p_next_vpn; r_pages = pages; r_live = true }
   in
   proc.p_next_vpn <- proc.p_next_vpn + pages + 1;
   proc.p_regions <- region :: proc.p_regions;
-  Engine.delay (noised env.e_k env.e_k.k_platform.Platform.syscall_overhead_ns);
+  charge_overhead env;
   region
 
 let vfree env region =
   if region.r_owner <> env.e_proc.p_pid then invalid_arg "Kernel.vfree: not the owner";
-  sys_entry env Flight.Vfree;
+  ignore (sys_entry env Flight.Vfree);
   if region.r_live then begin
     region.r_live <- false;
-    let t = env.e_k in
-    let lo = region.r_start_vpn and hi = region.r_start_vpn + region.r_pages in
-    ignore (Memory.invalidate_anon_range t.k_mem ~pid:region.r_owner ~lo ~hi);
-    (* swap never touched (the common case for a short-lived region):
-       skip building a probe key per page *)
-    if Page.Tbl.length t.k_swapped > 0 then
-      for vpn = lo to hi - 1 do
-        Page.Tbl.remove t.k_swapped (Page.Anon { pid = region.r_owner; vpn })
-      done;
-    Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns)
+    let lo = region.r_start_vpn in
+    drop_anon_range env.e_k ~pid:region.r_owner ~lo ~hi:(lo + region.r_pages);
+    charge_overhead env
   end
 
 let vrelease env region ~first ~count =
@@ -1037,15 +969,10 @@ let vrelease env region ~first ~count =
   if not region.r_live then invalid_arg "Kernel.vrelease: region freed";
   if first < 0 || count < 0 || first + count > region.r_pages then
     invalid_arg "Kernel.vrelease: out of range";
-  sys_entry env Flight.Vrelease;
-  let t = env.e_k in
-  let lo = region.r_start_vpn + first and hi = region.r_start_vpn + first + count in
-  ignore (Memory.invalidate_anon_range t.k_mem ~pid:region.r_owner ~lo ~hi);
-  if Page.Tbl.length t.k_swapped > 0 then
-    for vpn = lo to hi - 1 do
-      Page.Tbl.remove t.k_swapped (Page.Anon { pid = region.r_owner; vpn })
-    done;
-  Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns)
+  ignore (sys_entry env Flight.Vrelease);
+  let lo = region.r_start_vpn + first in
+  drop_anon_range env.e_k ~pid:region.r_owner ~lo ~hi:(lo + count);
+  charge_overhead env
 
 let touch_pages env region ~first ~count =
   if not region.r_live then invalid_arg "Kernel.touch_pages: region freed";
@@ -1053,7 +980,7 @@ let touch_pages env region ~first ~count =
     invalid_arg "Kernel.touch_pages: not the owner";
   if first < 0 || count < 0 || first + count > region.r_pages then
     invalid_arg "Kernel.touch_pages: out of range";
-  sys_entry env Flight.Touch;
+  ignore (sys_entry env Flight.Touch);
   let t = env.e_k in
   let plat = t.k_platform in
   let resolution = timer_resolution t in
@@ -1068,35 +995,23 @@ let touch_pages env region ~first ~count =
     ~key:(fun i -> Page.Anon { pid = owner; vpn = base_vpn + i })
     ~dirty:true
     ~on_hit:(fun _ _ ->
-      acct_hit env;
+      tally env Hits 1;
       before := !now;
       now := !now + plat.Platform.mem_touch_ns)
     ~on_miss:(fun i key ->
-      acct_miss env;
+      tally env Misses 1;
       before := !now;
       if Page.Tbl.mem t.k_swapped key then begin
-        let slot =
-          ((owner * 1_000_003) + (base_vpn + i)) mod Disk.capacity_blocks t.k_swap
-        in
-        let d = Disk.access t.k_swap ~now:!now ~start_block:slot ~nblocks:1 in
-        now := !now + d;
+        let block = swap_slot t ~pid:owner ~vpn:(base_vpn + i) in
+        now := disk_io env t.k_swap ~now:!now ~block ~n:1 (Some Page_ins);
         Page.Tbl.remove t.k_swapped key;
-        t.k_ctr.m_page_ins <- t.k_ctr.m_page_ins + 1;
-        (match env.e_acct with
-        | None -> ()
-        | Some st ->
-          st.Account.page_ins <- st.Account.page_ins + 1;
-          st.Account.block_ns <- st.Account.block_ns + d);
         match tele with
         | None -> ()
         | Some s -> Tele.point s "simos.kernel.page_in" ~spid:(spid env)
       end
       else begin
         now := !now + plat.Platform.page_alloc_zero_ns;
-        t.k_ctr.m_zero_fills <- t.k_ctr.m_zero_fills + 1;
-        (match env.e_acct with
-        | None -> ()
-        | Some st -> st.Account.zero_fills <- st.Account.zero_fills + 1);
+        tally env Zero_fills 1;
         match tele with
         | None -> ()
         | Some s -> Tele.point s "simos.kernel.zero_fill" ~spid:(spid env)
@@ -1107,38 +1022,30 @@ let touch_pages env region ~first ~count =
       (* Background interference steals time mid-touch; the stolen time is
          real (advances the clock) and visible in the observed sample —
          exactly what fools a naive timing-based paging detector. *)
-      (match t.k_faults with
-      | None -> ()
-      | Some f -> now := !now + Fault.extra_latency f ~now:!now);
+      now := !now + interference t ~now:!now;
       let raw = !now - !before in
       results.(i) <- max resolution (quantise resolution (noised t raw)));
   Engine.delay (!now - t0);
-  (match tele with
-  | None -> ()
-  | Some s ->
-    Tele.span_end s "simos.kernel.touch_pages" ~ts:t0 ~spid:(spid env)
-      ~attrs:(fun () -> [ ("pages", Tele.Int count) ]));
+  span env "simos.kernel.touch_pages" ~t0 ~attrs:(fun () -> [ ("pages", Tele.Int count) ]);
   results
 
 type vmstat = { vm_page_ins : int; vm_page_outs : int }
 
 let vmstat env =
-  sys_entry env Flight.Vmstat;
-  let t = env.e_k in
-  Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns);
-  { vm_page_ins = t.k_ctr.m_page_ins; vm_page_outs = t.k_ctr.m_page_outs }
+  ignore (sys_entry env Flight.Vmstat);
+  charge_overhead env;
+  let c = env.e_k.k_ctr in
+  { vm_page_ins = c.c_page_ins; vm_page_outs = c.c_page_outs }
 
 (* ---- CPU ---- *)
 
 let compute env ~ns =
   if ns < 0 then invalid_arg "Kernel.compute: negative duration";
-  sys_entry env Flight.Compute;
+  ignore (sys_entry env Flight.Compute);
   let t = env.e_k in
   let duration = noised t ns in
   (* CPU attribution is service time (the noised burst), not queueing. *)
-  (match env.e_acct with
-  | None -> ()
-  | Some st -> st.Account.cpu_ns <- st.Account.cpu_ns + duration);
+  tally env Cpu_ns duration;
   match t.k_sched with
   | Some s when Sched.participants s > 1 && duration > 0 ->
     (* Contended: reserve the burst one weighted quantum at a time,
@@ -1199,11 +1106,7 @@ let start_fault_daemons t =
               if evicted > 0 then begin
                 Tele.event "simos.fault.disturb"
                   ~attrs:(fun () -> [ ("evicted", Tele.Int evicted) ]);
-                match t.k_flight with
-                | None -> ()
-                | Some fl ->
-                  Flight.record fl ~ts:(Engine.now t.k_engine)
-                    ~code:Flight.Disturb ~pid:(pid env) ~a:evicted ~b:0
+                record env ~ts:(Engine.now t.k_engine) Flight.Disturb ~a:evicted ~b:0
               end;
               Engine.delay d.Fault.di_period_ns;
               loop ()
@@ -1221,11 +1124,8 @@ let start_fault_daemons t =
               ignore (touch_pages env region ~first:0 ~count:p.Fault.pr_pages);
               Fault.note_pressure_wave f;
               Tele.event "simos.fault.pressure_wave";
-              (match t.k_flight with
-              | None -> ()
-              | Some fl ->
-                Flight.record fl ~ts:(Engine.now t.k_engine)
-                  ~code:Flight.Pressure ~pid:(pid env) ~a:p.Fault.pr_pages ~b:0);
+              record env ~ts:(Engine.now t.k_engine) Flight.Pressure ~a:p.Fault.pr_pages
+                ~b:0;
               Engine.delay p.Fault.pr_hold_ns;
               vrelease env region ~first:0 ~count:p.Fault.pr_pages;
               Engine.delay p.Fault.pr_gap_ns;
@@ -1328,18 +1228,14 @@ let start_drift_daemon t =
                   epoch_start := Engine.now t.k_engine;
                   Tele.event "simos.drift.apply" ~attrs:(fun () ->
                       [ ("kind", Tele.String (Drift.kind_to_string ev.Drift.dv_kind)) ]);
-                  match t.k_flight with
-                  | None -> ()
-                  | Some fl ->
-                    let kind, arg =
-                      match ev.Drift.dv_kind with
-                      | Drift.Cache_resize f -> (0, int_of_float (f *. 100.0))
-                      | Drift.Policy_swap _ -> (1, 0)
-                      | Drift.Timer_scale n -> (2, n)
-                      | Drift.Pressure_level f -> (3, int_of_float (f *. 100.0))
-                    in
-                    Flight.record fl ~ts:(Engine.now t.k_engine)
-                      ~code:Flight.Drift ~pid:(pid env) ~a:kind ~b:arg
+                  let kind, arg =
+                    match ev.Drift.dv_kind with
+                    | Drift.Cache_resize f -> (0, int_of_float (f *. 100.0))
+                    | Drift.Policy_swap _ -> (1, 0)
+                    | Drift.Timer_scale n -> (2, n)
+                    | Drift.Pressure_level f -> (3, int_of_float (f *. 100.0))
+                  in
+                  record env ~ts:(Engine.now t.k_engine) Flight.Drift ~a:kind ~b:arg
                 end
               end)
             sc.Drift.dr_events;
@@ -1359,38 +1255,8 @@ let live_procs t = Hashtbl.length t.k_procs
 
 (* ---- counters ---- *)
 
-type counters = {
-  c_reads : int;
-  c_writes : int;
-  c_bytes_read : int;
-  c_bytes_written : int;
-  c_page_ins : int;
-  c_page_outs : int;
-  c_zero_fills : int;
-  c_file_fetches : int;
-  c_file_writebacks : int;
-}
-
 let counters t =
-  {
-    c_reads = t.k_ctr.m_reads;
-    c_writes = t.k_ctr.m_writes;
-    c_bytes_read = t.k_ctr.m_bytes_read;
-    c_bytes_written = t.k_ctr.m_bytes_written;
-    c_page_ins = t.k_ctr.m_page_ins;
-    c_page_outs = t.k_ctr.m_page_outs;
-    c_zero_fills = t.k_ctr.m_zero_fills;
-    c_file_fetches = t.k_ctr.m_file_fetches;
-    c_file_writebacks = t.k_ctr.m_file_writebacks;
-  }
+  let c = t.k_ctr in
+  { c with c_reads = c.c_reads }
 
-let reset_counters t =
-  t.k_ctr.m_reads <- 0;
-  t.k_ctr.m_writes <- 0;
-  t.k_ctr.m_bytes_read <- 0;
-  t.k_ctr.m_bytes_written <- 0;
-  t.k_ctr.m_page_ins <- 0;
-  t.k_ctr.m_page_outs <- 0;
-  t.k_ctr.m_zero_fills <- 0;
-  t.k_ctr.m_file_fetches <- 0;
-  t.k_ctr.m_file_writebacks <- 0
+let reset_counters t = t.k_ctr <- zero_counters ()

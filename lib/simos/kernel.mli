@@ -284,8 +284,8 @@ val restart : t -> unit
     survive — they describe the experiment, not the machine.  The
     per-process accounting ledger does {e not} (the rebooted machine has
     no processes), nor does the run queue ({!Sched.reset} — registrations
-    and grants are machine state), and a drift plane's timer/pressure
-    regime lapses (its daemon died with the crash); the flight recorder
+    and grants are machine state), and a drift plane's timer regime
+    lapses (its daemon died with the crash); the flight recorder
     keeps its pre-crash tail. *)
 
 val install_volume_image : t -> int -> Fs.t -> unit
@@ -308,19 +308,21 @@ val drop_all_memory : t -> unit
 
 (** {1 Counters} *)
 
-type counters = {
-  c_reads : int;
-  c_writes : int;
-  c_bytes_read : int;
-  c_bytes_written : int;
-  c_page_ins : int;  (** anonymous page-ins from swap *)
-  c_page_outs : int;  (** anonymous page-outs to swap *)
-  c_zero_fills : int;
-  c_file_fetches : int;  (** file pages fetched from disk *)
-  c_file_writebacks : int;
+type counters = private {
+  mutable c_reads : int;
+  mutable c_writes : int;
+  mutable c_bytes_read : int;
+  mutable c_bytes_written : int;
+  mutable c_page_ins : int;  (** anonymous page-ins from swap *)
+  mutable c_page_outs : int;  (** anonymous page-outs to swap *)
+  mutable c_zero_fills : int;
+  mutable c_file_fetches : int;  (** file pages fetched from disk *)
+  mutable c_file_writebacks : int;
 }
 
 val counters : t -> counters
+(** A copy: later syscalls do not move it. *)
+
 val reset_counters : t -> unit
 
 (** {1 White-box access (for {!Introspect} and tests only)} *)

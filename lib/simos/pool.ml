@@ -152,13 +152,10 @@ let invalidate_if t pred =
   List.iter (invalidate t) !doomed;
   List.length !doomed
 
-let drop_all t = ignore (invalidate_if t (fun _ -> true))
-
 (* Forget every resident page at once by rebuilding a fresh policy
-   instance from the stored factory — O(1) in the resident count, against
-   [drop_all]'s iterate-then-remove.  Observably identical to [drop_all]:
-   both leave an empty pool running the same policy, and neither touches
-   the counters. *)
+   instance from the stored factory — O(1) in the resident count, where
+   removing pages one by one is O(resident).  The counters are left
+   alone. *)
 let clear t = t.policy <- t.factory ~capacity:t.capacity
 
 let is_dirty t key =

@@ -94,15 +94,11 @@ val take : t -> Page.key -> bool
 val invalidate_if : t -> (Page.key -> bool) -> int
 (** Drop all pages matching the predicate; returns how many were dropped. *)
 
-val drop_all : t -> unit
-(** Flush the pool (the experiments' "flush the file cache" step). *)
-
 val clear : t -> unit
-(** {!drop_all} in O(1) of the resident count: rebuild a fresh (empty)
-    instance of the current policy instead of removing pages one by one.
-    Counters are preserved, like {!drop_all}.  The whole-machine restart
-    path uses this so a crash boundary does not pay an O(resident)
-    scan. *)
+(** Flush the pool in O(1) of the resident count: rebuild a fresh
+    (empty) instance of the current policy instead of removing pages one
+    by one.  Counters are preserved.  The whole-machine restart path
+    uses this so a crash boundary does not pay an O(resident) scan. *)
 
 val is_dirty : t -> Page.key -> bool
 

@@ -31,8 +31,6 @@ let create config =
     granted_ns = 0;
   }
 
-let quantum_ns t = t.t_quantum_ns
-
 let ensure_pid t pid =
   if pid >= Array.length t.weights then begin
     let cap = ref (Array.length t.weights) in

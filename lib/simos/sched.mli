@@ -49,8 +49,6 @@ type t
 val create : config -> t
 (** Raises [Invalid_argument] on a non-positive quantum. *)
 
-val quantum_ns : t -> int
-
 (** {1 Registration}
 
     {!Kernel.spawn} registers each process when its fiber starts and

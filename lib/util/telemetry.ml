@@ -73,7 +73,6 @@ let create ?(mode = Full) ~name () =
   }
 
 let sink_name s = s.s_name
-let sink_mode s = s.s_mode
 
 let now s =
   match s.s_clock with

@@ -66,7 +66,6 @@ val create : ?mode:mode -> name:string -> unit -> sink
     still counts metrics. *)
 
 val sink_name : sink -> string
-val sink_mode : sink -> mode
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** Install [sink] as the calling domain's ambient sink for the duration

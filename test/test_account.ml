@@ -1,7 +1,9 @@
 (* Per-process accounting: restart semantics, initiator attribution of
    sync-driven writebacks, and the attribution-exactness invariant (every
    global counter equals the sum of the per-pid cells) on randomized
-   multi-process workloads — serial and across a domain pool. *)
+   multi-process workloads — serial and across a domain pool — plus the
+   observers' contract: the same workloads with the ledger or the flight
+   recorder off run exactly the same machine. *)
 
 open Simos
 
@@ -14,10 +16,10 @@ let small_platform =
 (* These tests measure the instrument itself, so they pin the
    bit-identical quiet fault scenario (the canonical-faults CI pass
    would otherwise inject transient errors into the exactness sums). *)
-let boot ?crash ~seed () =
+let boot ?crash ?(account = true) ?flight ~seed () =
   let engine = Engine.create () in
   Kernel.boot ~engine ~platform:small_platform ~data_disks:1 ~volume_blocks:16384
-    ~faults:Fault.quiet ?crash ~account:true ~seed ()
+    ~faults:Fault.quiet ?crash ~account ?flight ~seed ()
 
 let must = function
   | Ok v -> v
@@ -146,10 +148,10 @@ let run_op env = function
   | Sync -> Kernel.sync env
   | Compute us -> Kernel.compute env ~ns:(us * 1000)
 
-let run_spec ~seed =
+let run_spec ?account ?flight ~seed () =
   (* durable crash plane so the generated [Sync]/[Fsync] ops have dirty
      pages to write back — exactness must hold on those paths too *)
-  let k = boot ~crash:Crash.durable ~seed () in
+  let k = boot ~crash:Crash.durable ?account ?flight ~seed () in
   Kernel.spawn k ~name:"setup" setup;
   Kernel.run k;
   List.iter
@@ -200,17 +202,35 @@ let check_exactness k =
       else true)
     checks
 
+(* What the machine did, as opposed to what its observers saw: the
+   ledger and the flight ring must never move any of it. *)
+let outcome k =
+  let mem = Kernel.memory k in
+  let pool p = (Pool.hits p, Pool.misses p, Pool.evictions p) in
+  ( Engine.now (Kernel.engine k),
+    Kernel.counters k,
+    pool (Memory.file_pool mem),
+    pool (Memory.anon_pool mem) )
+
 let prop_sums_exact =
   QCheck2.Test.make ~name:"per-pid sums equal global counters" ~count:25
     QCheck2.Gen.(int_range 0 10_000)
-    (fun seed -> check_exactness (run_spec ~seed))
+    (fun seed ->
+      let k = run_spec ~seed () in
+      let unperturbed sink k' =
+        outcome k' = outcome k
+        || QCheck2.Test.fail_reportf "%s off changed the simulation (seed %d)" sink seed
+      in
+      check_exactness k
+      && unperturbed "accounting" (run_spec ~account:false ~seed ())
+      && unperturbed "flight recorder" (run_spec ~flight:false ~seed ()))
 
 (* Per-kind syscall counts against the telemetry .calls counters (the
    other half of the exactness invariant), under a full sink. *)
 let test_sums_match_telemetry () =
   let module Tele = Gray_util.Telemetry in
   let sink = Tele.create ~name:"acct" () in
-  let k = Tele.with_sink sink (fun () -> run_spec ~seed:77) in
+  let k = Tele.with_sink sink (fun () -> run_spec ~seed:77 ()) in
   let rows = Account.rows (the_account k) in
   let sum code =
     List.fold_left
@@ -235,26 +255,29 @@ let test_sums_match_telemetry () =
 
 (* The same specs, serially and fanned over an 8-domain pool: exactness
    holds on every domain and the aggregated exports are byte-identical
-   (submission-order merge, no schedule dependence). *)
+   (submission-order merge, no schedule dependence).  Workers only
+   compute; every assertion runs here, on the submitting domain, because
+   Alcotest's reporter is not domain-safe. *)
 let test_exactness_across_domains () =
   let seeds = List.init 8 (fun i -> 1000 + (37 * i)) in
-  let export_of ~seed =
-    let k = run_spec ~seed in
-    Alcotest.(check bool)
-      (Printf.sprintf "exact on domain (seed %d)" seed)
-      true (check_exactness k);
-    Gray_util.Json.to_string (Account.export_json (Account.export (the_account k)))
+  let export_of seed =
+    let k = run_spec ~seed () in
+    ( check_exactness k,
+      Gray_util.Json.to_string (Account.export_json (Account.export (the_account k))) )
   in
-  let serial = List.map (fun seed -> export_of ~seed) seeds in
+  let serial = List.map export_of seeds in
   let pool = Gray_util.Domain_pool.create ~size:8 in
   let parallel =
     Fun.protect
       ~finally:(fun () -> Gray_util.Domain_pool.shutdown pool)
-      (fun () -> Gray_util.Domain_pool.map pool (fun seed -> export_of ~seed) seeds)
+      (fun () -> Gray_util.Domain_pool.map pool export_of seeds)
   in
   List.iter2
-    (fun a b -> Alcotest.(check string) "export identical at -j1 vs -j8" a b)
-    serial parallel
+    (fun seed ((exact_1, a), (exact_8, b)) ->
+      Alcotest.(check bool) (Printf.sprintf "exact serially (seed %d)" seed) true exact_1;
+      Alcotest.(check bool) (Printf.sprintf "exact on domain (seed %d)" seed) true exact_8;
+      Alcotest.(check string) "export identical at -j1 vs -j8" a b)
+    seeds (List.combine serial parallel)
 
 let suite =
   [
